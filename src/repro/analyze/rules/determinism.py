@@ -10,9 +10,9 @@ output, no environment reads outside the documented ``REPRO_*`` knobs.
 
 Scope: ``explore/runner.py`` (the job executor), everything transitively
 imported by it (the whole simulator core a job can reach), plus
-``explore/engine.py``, ``sim/statistics.py`` and the superblock trace
-tier (``core/trace.py`` / ``core/tracegen.py`` -- generated code must be
-bit-exact with the interpreter, so the generator is held to the same
+``explore/engine.py``, ``sim/statistics.py`` and the trace tier
+(``core/trace.py`` / ``core/tracegen.py`` -- the generated step loop must
+be bit-exact with the interpreter, so the generator is held to the same
 standard) explicitly.
 
 Rules:

@@ -212,7 +212,7 @@ class Simulation:
 
         With no observers and a gap worth more than two checkpoint
         intervals, the bulk of the move runs **uninstrumented**
-        (:meth:`Cpu.run` — the superblock trace tier when enabled) to the
+        (:meth:`Cpu.run` — the trace tier's step loop when enabled) to the
         last interval boundary below the target, drops the checkpoint the
         stepped path would have left there, and only the tail interval is
         stepped.  Determinism makes the two paths land in bit-identical

@@ -23,7 +23,7 @@ loop:
 def interpreter_sim():
     sim = Simulation.from_source(LOOP)
     # pin the interpreter path: PipelineProfiler wraps the per-cycle
-    # stage methods, which the trace tier bypasses
+    # stage methods, which the trace tier's step loop bypasses
     sim.cpu._trace_wanted = False
     return sim
 
@@ -88,11 +88,9 @@ class TestResidencyProfiler:
         assert report["totalCycles"] == sim.cpu.cycle
         assert len(report["chunks"]) >= 2
         assert all(chunk["cycles"] > 0 for chunk in report["chunks"])
-        # the loop is hot: the trace tier engages, so chunks report
-        # traced mode and the warmup chunk shows compilation activity
-        assert report["chunks"][-1]["mode"] == "traced"
-        assert sum(chunk["tier"].get("compiled", 0)
-                   for chunk in report["chunks"]) >= 1
+        # the step loop runs every chunk; chunks carry no tier stats
+        assert {chunk["mode"] for chunk in report["chunks"]} == {"traced"}
+        assert all("tier" not in chunk for chunk in report["chunks"])
 
     def test_interpreter_mode_reported_without_tier(self):
         sim = interpreter_sim()
