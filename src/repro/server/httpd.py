@@ -34,9 +34,6 @@ _GZIP_THRESHOLD = 256
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-sim/1.0"
-    # headers and body go out in two send()s; without TCP_NODELAY Nagle
-    # holds the body until the client's delayed ACK (~40 ms per response)
-    disable_nagle_algorithm = True
 
     # quiet by default; the load test would otherwise spam the console
     def log_message(self, fmt, *args):  # pragma: no cover - logging

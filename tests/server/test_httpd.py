@@ -127,46 +127,6 @@ class TestOverheadMode:
             slow.shutdown()
 
 
-class TestSmallResponseLatency:
-    """Headers and body leave in two ``send()`` calls; without
-    ``TCP_NODELAY`` Nagle's algorithm holds the body until the client's
-    delayed ACK, a ~40 ms floor under every small keep-alive response."""
-
-    def test_accepted_socket_has_nodelay(self, server, monkeypatch):
-        import socket
-
-        from repro.server.httpd import _Handler
-
-        seen = []
-        original = _Handler.setup
-
-        def setup(handler):
-            original(handler)
-            seen.append(handler.connection.getsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY))
-
-        monkeypatch.setattr(_Handler, "setup", setup)
-        probe = SimClient("127.0.0.1", server.port)
-        try:
-            assert probe.health()["status"] == "ok"
-        finally:
-            probe.close()
-        assert seen and all(flag != 0 for flag in seen)
-
-    def test_keep_alive_round_trips_beat_the_nagle_floor(self, client):
-        sid = client.session_new(DEFAULT_PROGRAMS[0])
-        client.session_step(sid, 1, delta=True)
-        samples = []
-        for _ in range(20):
-            start = time.perf_counter()
-            client.session_step(sid, 1, delta=True)
-            samples.append(time.perf_counter() - start)
-        client.session_close(sid)
-        samples.sort()
-        median_ms = 1000 * samples[len(samples) // 2]
-        assert median_ms < 20, f"keep-alive step p50 {median_ms:.1f} ms"
-
-
 class TestSessionsOverHttp:
     def test_interactive_session(self, client):
         sid = client.session_new(DEFAULT_PROGRAMS[0])
