@@ -10,7 +10,7 @@ drift cancels:
   loop contains no instrumentation, so the only possible cost would be
   a leaked import or wrapper; the ratio pins that at ~1x);
 * a detached :class:`PipelineProfiler` leaves the CPU byte-for-byte
-  identical (no instance attrs, class-method dispatch restored);
+  identical (the unprobed step loop restored, nothing else added);
 * the lock-free counter hot path stays cheap in absolute terms, and a
   concurrent scrape never blocks or corrupts writers.
 
@@ -28,7 +28,7 @@ import time
 
 from repro import CpuConfig, Simulation
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.profile import PIPELINE_STAGES, PipelineProfiler
+from repro.obs.profile import PipelineProfiler
 
 BASELINE = pathlib.Path(__file__).with_name("BENCH_obs.json")
 
@@ -56,11 +56,9 @@ MAX_INC_MICROS = 5.0
 
 
 def _run_once(profiler_cycle: bool):
-    """One uninstrumented interpreter run; optionally attach+detach a
-    profiler *before* the run, so any residue it leaves is measured."""
+    """One uninstrumented run; optionally attach+detach a profiler
+    *before* the run, so any residue it leaves is measured."""
     sim = Simulation.from_source(HOT_LOOP, config=CpuConfig())
-    sim.cpu.config.trace = False
-    sim.cpu._trace_wanted = False
     if profiler_cycle:
         profiler = PipelineProfiler(sim.cpu, stride=64)
         profiler.attach()
@@ -97,8 +95,9 @@ def test_uninstrumented_run_unaffected_by_obs():
     assert ratio >= MIN_CLEAN_RATIO, (
         f"obs-attached-then-detached run is {ratio:.3f}x of clean — "
         f"profiling residue is leaking into the uninstrumented path")
-    # and truly detached: no stage wrapper left on the instance
-    assert not any(name in cycled.cpu.__dict__ for name in PIPELINE_STAGES)
+    # and truly detached: the unprobed loop runs, nothing else was added
+    assert cycled.cpu._step_loop.__code__ is clean.cpu._step_loop.__code__
+    assert set(vars(cycled.cpu)) == set(vars(clean.cpu))
 
 
 def test_counter_hot_path_cost():

@@ -54,30 +54,26 @@ print(f"after seek(24): cycle={sim.cycle} "
       f"(replayed {sim.last_replay_cycles} from checkpoint @16)")
 
 # ---------------------------------------------------------------------------
-# 2b. how the trace tier works (the run-to-completion fast path)
+# 2b. how the pipeline runs: one generated step loop
 #
-# Uninstrumented runs (`sim.run()` with no observers, and the fast-forward
-# leg of far-forward `seek`s) execute through the *trace tier*: one step
-# loop generated for the processor configuration, with every pipeline
-# stage inlined and the widths, buffer sizes and unit latencies folded
-# into literals.  Rare events (a mispredict flush, a store drain) call the
-# interpreter's own methods, so behaviour is bit-identical by construction
-# (pinned by the golden determinism suite).  The compiled loop is cached
-# per configuration, so only the first simulation of a configuration pays
-# for code generation.
+# The timing model is a single loop generated for the processor
+# configuration, with every pipeline stage inlined and the widths, buffer
+# sizes and unit latencies folded into literals.  Rare events (a
+# mispredict flush, a store drain) call the CPU's own methods.  The
+# compiled loop is cached per configuration, so only the first simulation
+# of a configuration pays for code generation.  `sim.run()` calls it once
+# to the halt; `sim.step()` calls it once per cycle, so stepping and
+# running execute the same code and land in the same state.
 #
-# Stepped (instrumented) simulation is untouched.  Far-forward seeks run
-# uninstrumented to the last checkpoint boundary below the target, drop
-# the checkpoint there, and step only the tail interval —
-# `sim.last_fast_forward` reports the fast-forwarded share.  When
-# bisecting a timing bug you can rule the tier out by disabling it:
-# set the environment variable REPRO_TRACE=0, or `config.trace = False`.
+# Far-forward seeks run to the last checkpoint boundary below the target
+# in one uninstrumented call, drop the checkpoint there, and step only
+# the tail interval — `sim.last_fast_forward` reports the fast-forwarded
+# share.
 # ---------------------------------------------------------------------------
 sim = Simulation.from_source(SOURCE, checkpoint_interval=16)
 sim.seek(90)             # far-forward: uninstrumented to cycle 80, step 10
 print(f"\nseek(90): fast-forwarded {sim.last_fast_forward} cycles"
-      + (" through the trace tier's step loop"
-         if sim.cpu._step_loop is not None else " (trace tier disabled)"))
+      " in one step-loop call")
 
 # ---------------------------------------------------------------------------
 # 3. compile C and watch the optimizer work
@@ -349,14 +345,14 @@ print(f"/metrics: {len(scrape)} families; sweep jobs by backend/kind: "
                   f"={cell['value']}" for cell in jobs["values"]))
 api.close()
 
-# Hot-loop profiling is opt-in and sampled: PipelineProfiler wraps the
-# six per-cycle stage methods of one Cpu *instance* (interpreter path),
-# timing every Nth call; ResidencyProfiler slices an uninstrumented run
-# into chunks and reports each chunk's throughput and execution path.
+# Hot-loop profiling is opt-in and sampled: PipelineProfiler swaps one
+# Cpu's step loop for the probed variant (a probe call at each stage
+# boundary), timing every Nth cycle, and restores the plain loop on exit;
+# ResidencyProfiler slices an uninstrumented run into chunks and reports
+# each chunk's throughput.
 from repro.obs.profile import PipelineProfiler
 
 sim = Simulation.from_source(SOURCE)
-sim.cpu._trace_wanted = False          # profile the interpreter path
 with PipelineProfiler(sim.cpu, stride=16) as profiler:
     sim.run()
 report = profiler.report()

@@ -10,10 +10,10 @@ output, no environment reads outside the documented ``REPRO_*`` knobs.
 
 Scope: ``explore/runner.py`` (the job executor), everything transitively
 imported by it (the whole simulator core a job can reach), plus
-``explore/engine.py``, ``sim/statistics.py`` and the trace tier
-(``core/trace.py`` / ``core/tracegen.py`` -- the generated step loop must
-be bit-exact with the interpreter, so the generator is held to the same
-standard) explicitly.
+``explore/engine.py``, ``sim/statistics.py`` and the step-loop generator
+(``core/trace.py`` / ``core/tracegen.py`` -- the generated loop is the
+timing model every record comes from, so the generator is held to the
+same standard) explicitly.
 
 Rules:
 
@@ -44,7 +44,7 @@ from repro.analyze.project import Project
 ENTRY_MODULE = "repro.explore.runner"
 
 #: record-adjacent modules checked even when not imported by the entry;
-#: the trace tier generates the record-producing hot loop, so the
+#: the step-loop generator emits the record-producing hot loop, so the
 #: generator itself is held to determinism discipline
 EXPLICIT_MODULES = ("repro.explore.engine", "repro.sim.statistics",
                     "repro.core.trace", "repro.core.tracegen")

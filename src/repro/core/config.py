@@ -229,11 +229,6 @@ class CpuConfig:
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     max_cycles: int = 1_000_000
     halt_on_exception: bool = True
-    #: trace tier (repro.core.trace): the config-specialized step loop for
-    #: uninstrumented runs; bit-exact vs the interpreter — disable when
-    #: bisecting whether a result depends on it (env override:
-    #: REPRO_TRACE=0)
-    trace: bool = True
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -266,7 +261,7 @@ class CpuConfig:
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        data = {
+        return {
             "name": self.name,
             "coreClockHz": self.core_clock_hz,
             "memoryClockHz": self.memory_clock_hz,
@@ -279,15 +274,14 @@ class CpuConfig:
             "maxCycles": self.max_cycles,
             "haltOnException": self.halt_on_exception,
         }
-        if not self.trace:  # emitted only when non-default (cf. pipelined)
-            data["trace"] = False
-        return data
 
     def to_json_str(self, indent: int = 2) -> str:
         return json.dumps(self.to_json(), indent=indent)
 
     @staticmethod
     def from_json(data: dict) -> "CpuConfig":
+        """Inverse of :meth:`to_json`.  Unknown keys are ignored, so stored
+        configs that still carry the retired ``"trace"`` switch load."""
         cfg = CpuConfig(
             name=data.get("name", "imported"),
             core_clock_hz=float(data.get("coreClockHz", 100e6)),
@@ -300,7 +294,6 @@ class CpuConfig:
             predictor=PredictorConfig.from_json(data.get("branchPredictor", {})),
             max_cycles=int(data.get("maxCycles", 1_000_000)),
             halt_on_exception=bool(data.get("haltOnException", True)),
-            trace=bool(data.get("trace", True)),
         )
         if "functionalUnits" in data:
             cfg.fus = [FuSpec.from_json(d) for d in data["functionalUnits"]]

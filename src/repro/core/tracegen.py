@@ -1,17 +1,23 @@
-"""Code generation for the trace tier (see ``repro.core.trace``).
+"""The pipeline's per-cycle schedule, written once as a code generator.
 
-``compile_step(cpu)`` emits the *config-specialized run loop*: one
-function replacing ``Cpu.run``'s ``step()``-per-cycle interpretation.
-The source is plain Python, ``exec``-compiled once per configuration
-signature and then called for every run.  Every pipeline stage (commit,
-memory, execute, issue, dispatch, fetch, busy accounting, end detection)
-is inlined into a single loop body with the configuration constants
-(widths, buffer sizes, unit latencies, cycle limit) folded into literals
-and the per-unit loops unrolled.  The emitted code is a line-by-line
-transcription of ``repro.core.pipeline.Cpu.step`` — bit-exactness is by
-construction, and the golden determinism suite pins it.  Rare control
-transfers (mispredict flush, store drain, load resolution, decode
-redirect) call into the existing interpreter methods.
+``compile_step(cpu)`` emits the run loop for one processor
+configuration: every pipeline stage (commit, memory, execute, issue,
+dispatch, fetch, busy accounting, end detection) inlined into a single
+loop body, with the configuration constants (widths, buffer sizes, unit
+latencies, pipelined units, cycle limit) folded into literals and the
+per-unit code unrolled.  This *is* the timing model — ``Cpu.step`` runs
+one cycle of it and ``Cpu.run`` runs it to a budget; there is no second
+copy to keep in step.  Rare control transfers (mispredict flush, store
+drain, load resolution, decode redirect, result evaluation) call the
+single definitions in ``repro.core.pipeline.Cpu``.  The frozen per-cycle
+reference (``tests/core/test_pipeline_reference.py``) and the golden
+determinism suite pin the schedule.
+
+The source is plain Python, ``compile``d once per configuration
+signature; each ``Cpu`` gets its own function object over the cached
+code.  A profiler may ask for the *probed* variant: the same source with
+a ``probe(k)`` call at the start of each stage ``k`` (0 = commit ... 5 =
+fetch) and ``probe(6)`` once fetch is done, cached under its own key.
 
 Identity-stability rules for what generated code may hoist into locals
 (the hoists run once per ``Cpu.run`` call):
@@ -38,16 +44,21 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from typing import Callable, Dict, List
+from operator import attrgetter
+from types import CodeType, FunctionType
+from typing import Callable, Dict, List, Optional
 
-from repro.core.pipeline import StoreBufferEntry, _simcode_id
+from repro.core.pipeline import StoreBufferEntry
 from repro.core.simcode import SimCode
 from repro.errors import SimulationException
 from repro.isa.bits import float32_round
 from repro.predictor.bits import make_bit_predictor
 
-#: compiled step-loop code objects keyed by the config signature
-_STEP_CACHE: Dict[str, object] = {}
+#: step-loop function code objects keyed by the config signature
+_STEP_CACHE: Dict[str, CodeType] = {}
+
+#: stage names in probe order (the argument of the probed loop's probe(k))
+STAGES = ("commit", "memory", "execute", "issue", "dispatch", "fetch")
 
 #: canonical register name -> file index, pre-resolved so the generated
 #: commit path never re-parses the index from the name string
@@ -58,7 +69,7 @@ _FP_IDX: Dict[str, int] = {f"f{i}": i for i in range(32)}
 # ======================================================================
 # config-specialized run loop
 # ======================================================================
-def step_key(cpu) -> str:
+def step_key(cpu, probed: bool = False) -> str:
     """Deterministic cache key: everything the emitted source folds in."""
     config = cpu.config
     buffers = config.buffers
@@ -76,6 +87,7 @@ def step_key(cpu) -> str:
         "memoryUnits": [fu.spec.to_json() for fu in cpu.memory_units],
         "windowKinds": [kind for kind, _ in cpu._window_items],
         "predictor": config.predictor.to_json(),
+        "probed": probed,
     }, sort_keys=True)
 
 
@@ -86,8 +98,8 @@ def _predict_expr(ptype: str) -> str:
 
 
 def _predict_lines(config, indent: str) -> List[str]:
-    """Inline transcription of ``BranchPredictor.predict_indexed`` for
-    the fetched branch ``dop`` at ``pc``.
+    """``BranchPredictor.predict_indexed`` inlined for the fetched branch
+    ``dop`` at ``pc``.
 
     Emits code leaving ``taken``/``target``/``pht_index`` locals set.
     ``predictor._spec_local`` is rebound mid-run by ``on_flush`` so it is
@@ -133,8 +145,8 @@ def _predict_lines(config, indent: str) -> List[str]:
 
 
 def _train_lines(config, indent: str) -> List[str]:
-    """Inline transcription of ``BranchPredictor.train`` for the commit
-    path (``head`` is the resolving branch); leaves ``correct`` set."""
+    """``BranchPredictor.train`` inlined for the commit path (``head`` is
+    the resolving branch); leaves ``correct`` set."""
     p = config.predictor
     hmask = (1 << p.history_bits) - 1
     ptype = p.predictor_type.lower()
@@ -194,7 +206,9 @@ def _train_lines(config, indent: str) -> List[str]:
 
 
 def _wake_lines(value_expr: str, indent: str) -> List[str]:
-    """Inline wake-up broadcast (transcribes ``Cpu._wakeup_waiters``)."""
+    """Wake-up broadcast of a freshly produced speculative value to every
+    windowed instruction waiting on ``tag`` (the issue-window wake-up of
+    Sec. III-A, made event-driven instead of per-cycle window polling)."""
     return [
         f"{indent}waiters = tag_waiters.pop(tag, None)",
         f"{indent}if waiters:",
@@ -231,7 +245,7 @@ def _emit_commit(config) -> List[str]:
         # aggregates read only between runs: count commits per dop.index
         # here and expand in the run-exit flush.  commit_order remembers
         # first-commit order so the flush inserts dict keys in exactly
-        # the order the interpreter would (key order is serialized).
+        # the order per-commit counting would (key order is serialized).
         "            di = dop.index",
         "            c = commit_counts[di]",
         "            commit_counts[di] = c + 1",
@@ -375,44 +389,92 @@ def _emit_memory(cpu) -> List[str]:
     return lines
 
 
+def _complete_lines(fu, indent: str) -> List[str]:
+    """Execution finished for ``xs`` on unit *fu*: stores hand address and
+    data to the store buffer, loads queue for a memory unit, everything
+    else writes its result to the rename file and wakes its waiters."""
+    lines = [
+        "xs.timestamps['execute'] = cycle",
+        "xs.sver += 1",
+        "cpu.v_rob += 1",
+    ]
+    if fu.spec.kind == "LS":
+        lines += [
+            "if xs.dop.is_store:",
+            "    entry = cpu._store_by_id.get(xs.id)",
+            "    if entry is not None:",
+            "        entry.address = xs.address",
+            "        entry.data = xs.store_data",
+            "    cpu.v_storeb += 1",
+            "    xs.timestamps['writeback'] = cycle",
+            "else:",
+            "    insort(load_queue, xs, key=_skey)",
+            "    cpu.v_loadq += 1",
+        ]
+    else:
+        lines += [
+            "tag = xs.dest_tag",
+            "if tag is not None:",
+            "    e = entries[tag]",
+            "    e.value = xs.result",
+            "    e.valid = True",
+            "    rename.version += 1",
+            *_wake_lines("xs.result", "    "),
+            "xs.timestamps['writeback'] = cycle",
+        ]
+    return [indent + line for line in lines]
+
+
 def _emit_execute(cpu) -> List[str]:
     lines: List[str] = []
     for i, fu in enumerate(cpu.fus):
         u = f"u{i}"
-        lines += [
-            f"        if {u}.simcode is not None and cycle >= {u}.busy_until:",
-            f"            xs = {u}.simcode",
-            f"            {u}.simcode = None",
-            "            cpu.v_fus += 1",
-            "            xs.timestamps['execute'] = cycle",
-            "            xs.sver += 1",
-            "            cpu.v_rob += 1",
-        ]
-        if fu.spec.kind == "LS":
+        if fu.pipelined:
+            # drain every finished entry, in issue order (a short op
+            # issued after a long one may finish first)
             lines += [
-                "            if xs.dop.is_store:",
-                "                entry = cpu._store_by_id.get(xs.id)",
-                "                if entry is not None:",
-                "                    entry.address = xs.address",
-                "                    entry.data = xs.store_data",
-                "                cpu.v_storeb += 1",
-                "                xs.timestamps['writeback'] = cycle",
-                "            else:",
-                "                insort(load_queue, xs, key=_skey)",
-                "                cpu.v_loadq += 1",
+                f"        inflight = {u}.inflight",
+                "        if inflight:",
+                "            done = [p[0] for p in inflight if cycle >= p[1]]",
+                "            if done:",
+                f"                {u}.inflight = [p for p in inflight"
+                " if cycle < p[1]]",
+                "                for xs in done:",
+                "                    cpu.v_fus += 1",
+                *_complete_lines(fu, "                    "),
             ]
         else:
             lines += [
-                "            tag = xs.dest_tag",
-                "            if tag is not None:",
-                "                e = entries[tag]",
-                "                e.value = xs.result",
-                "                e.valid = True",
-                "                rename.version += 1",
-                *_wake_lines("xs.result", "                "),
-                "            xs.timestamps['writeback'] = cycle",
+                f"        if {u}.simcode is not None"
+                f" and cycle >= {u}.busy_until:",
+                f"            xs = {u}.simcode",
+                f"            {u}.simcode = None",
+                "            cpu.v_fus += 1",
+                *_complete_lines(fu, "            "),
             ]
     return lines
+
+
+def _free_test(fu, u: str) -> str:
+    """Whether unit *u* can accept an instruction this cycle: a pipelined
+    unit takes one per cycle, any other unit only when empty."""
+    if fu.pipelined:
+        return f"{u}.last_issue_cycle != cycle"
+    return f"{u}.simcode is None"
+
+
+def _start_lines(pipelined: Optional[bool], indent: str) -> List[str]:
+    """Occupy ``unit`` with ``sc`` until ``finish``; *pipelined* None
+    means the window's units differ and the unit decides at run time."""
+    occupy = ["unit.simcode = sc", "unit.busy_until = finish"]
+    queue = ["unit.inflight.append((sc, finish))"]
+    if pipelined is None:
+        body = (["if unit.pipelined:"] + ["    " + ln for ln in queue]
+                + ["else:"] + ["    " + ln for ln in occupy])
+    else:
+        body = queue if pipelined else occupy
+    return [indent + line
+            for line in ["unit.last_issue_cycle = cycle", *body]]
 
 
 def _uniform_issue_kinds(cpu) -> Dict[str, List[int]]:
@@ -427,6 +489,7 @@ def _uniform_issue_kinds(cpu) -> Dict[str, List[int]]:
         if all(fu.spec.latency == first.spec.latency
                and fu.spec.operations == first.spec.operations
                and fu.ops_set == first.ops_set
+               and fu.pipelined == first.pipelined
                for fu in (cpu.fus[i] for i in indices)):
             result[kind] = indices
     return result
@@ -436,7 +499,7 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
     """Issue block for a window whose units all share one spec.
 
     No ``free`` list is materialized: unit selection is an unrolled
-    flag cascade (same first-free-unit order as the interpreter), the
+    flag cascade (first free unit in configuration order), the
     accepted-op set and latency are folded per kind, and the unit name
     becomes a literal on each cascade arm.
     """
@@ -444,7 +507,7 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
     first = cpu.fus[indices[0]]
     lines = [f"        if {w}:"]
     for j, i in enumerate(indices):
-        lines.append(f"            f{j} = u{i}.simcode is None")
+        lines.append(f"            f{j} = {_free_test(cpu.fus[i], f'u{i}')}")
     guard = " or ".join(f"f{j}" for j in range(len(indices)))
     all_busy = " and ".join(f"not f{j}" for j in range(len(indices)))
     lines += [
@@ -481,9 +544,7 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
         "                        issued.append(sc)",
         "                    sc.timestamps['issue'] = cycle",
         f"                    finish = cycle + {lat_expr}",
-        "                    unit.last_issue_cycle = cycle",
-        "                    unit.simcode = sc",
-        "                    unit.busy_until = finish",
+        *_start_lines(first.pipelined, "                    "),
         "                    sc.finish_cycle = finish",
         "                    sc.sver += 1",
         "                    try:",
@@ -504,6 +565,8 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
 
 
 def _emit_issue(cpu) -> List[str]:
+    """Issue: each window hands its oldest ready instructions to the
+    first free unit that supports their op class (sub-step 2)."""
     lines: List[str] = []
     uniform = _uniform_issue_kinds(cpu)
     for kind, _window in cpu._window_items:
@@ -514,14 +577,16 @@ def _emit_issue(cpu) -> List[str]:
         if kind in uniform:
             lines += _emit_issue_uniform(cpu, kind, indices)
             continue
-        unit_names = [f"u{i}" for i in indices]
+        modes = {cpu.fus[i].pipelined for i in indices}
+        pipelined = modes.pop() if len(modes) == 1 else None
         w = f"w_{kind}"
-        units_tuple = (f"({unit_names[0]},)" if len(unit_names) == 1
-                       else "(" + ", ".join(unit_names) + ")")
+        lines += [f"        if {w}:", "            free = []"]
+        for i in indices:
+            lines += [
+                f"            if {_free_test(cpu.fus[i], f'u{i}')}:",
+                f"                free.append(u{i})",
+            ]
         lines += [
-            f"        if {w}:",
-            f"            free = [u for u in {units_tuple}"
-            " if u.simcode is None]",
             "            if free:",
             "                issued = None",
             f"                for sc in {w}:",
@@ -548,9 +613,7 @@ def _emit_issue(cpu) -> List[str]:
             "                    sc.fu_name = unit.name",
             "                    sc.timestamps['issue'] = cycle",
             "                    finish = cycle + lat",
-            "                    unit.last_issue_cycle = cycle",
-            "                    unit.simcode = sc",
-            "                    unit.busy_until = finish",
+            *_start_lines(pipelined, "                    "),
             "                    cpu.v_fus += 1",
             "                    cpu.v_rob += 1",
             "                    sc.finish_cycle = finish",
@@ -691,22 +754,23 @@ def _emit_fetch(config) -> List[str]:
 
 def _emit_epilogue(cpu) -> List[str]:
     config = cpu.config
+    # a pipelined unit is busy while anything is in flight; memory units
+    # hold one access at a time whatever their spec says
+    units = [(f"u{i}", fu.pipelined, "cpu.v_fus")
+             for i, fu in enumerate(cpu.fus)]
+    units += [(f"m{i}", False, "cpu.v_mem_units")
+              for i in range(len(cpu.memory_units))]
     lines: List[str] = []
-    for i, _fu in enumerate(cpu.fus):
+    for u, pipelined, counter in units:
         lines += [
-            f"        if u{i}.simcode is not None:",
-            f"            u{i}.busy_cycles += 1",
-            "            cpu.v_fus += 1",
-        ]
-    for i, _fu in enumerate(cpu.memory_units):
-        lines += [
-            f"        if m{i}.simcode is not None:",
-            f"            m{i}.busy_cycles += 1",
-            "            cpu.v_mem_units += 1",
+            f"        if {u}.inflight:" if pipelined
+            else f"        if {u}.simcode is not None:",
+            f"            {u}.busy_cycles += 1",
+            f"            {counter} += 1",
         ]
     empty = ["not fetch_buffer", "not rob", "not load_queue"]
-    empty += [f"u{i}.simcode is None" for i in range(len(cpu.fus))]
-    empty += [f"m{i}.simcode is None" for i in range(len(cpu.memory_units))]
+    empty += [f"not {u}.inflight" if pipelined else f"{u}.simcode is None"
+              for u, pipelined, _counter in units]
     limit_msg = f"cycle limit reached ({config.max_cycles})"
     lines += [
         "        if cpu.halted is None:",
@@ -736,8 +800,9 @@ _VERSION_LOCALS = (
 )
 
 
-def build_step_source(cpu) -> str:
-    """Emit the whole specialized run loop for *cpu*'s configuration."""
+def build_step_source(cpu, probed: bool = False) -> str:
+    """Emit the whole specialized run loop for *cpu*'s configuration;
+    *probed* adds the ``probe(k)`` stage-boundary calls."""
     hoists = [
         "    fetch_buffer = cpu.fetch_buffer",
         "    rob = cpu.rob",
@@ -787,26 +852,23 @@ def build_step_source(cpu) -> str:
         if first.flat_latency is None:
             hoists.append(f"    opslat_{kind} = u{indices[0]}.ops_lat.get")
 
-    body: List[str] = []
-    body.append("    while cpu.halted is None and cpu.cycle < budget:")
-    body.append("        cycle = cpu.cycle")
-    body.append("        # -- commit " + "-" * 40)
-    body += _emit_commit(cpu.config)
-    body.append("        # -- memory units " + "-" * 34)
-    body += _emit_memory(cpu)
-    body.append("        # -- execute " + "-" * 39)
-    body += _emit_execute(cpu)
-    body.append("        # -- issue " + "-" * 41)
-    body += _emit_issue(cpu)
-    body.append("        # -- dispatch " + "-" * 38)
-    body += _emit_dispatch(cpu.config)
-    body.append("        # -- fetch " + "-" * 41)
-    body += _emit_fetch(cpu.config)
+    stages = (_emit_commit(cpu.config), _emit_memory(cpu),
+              _emit_execute(cpu), _emit_issue(cpu),
+              _emit_dispatch(cpu.config), _emit_fetch(cpu.config))
+    body = ["    while cpu.halted is None and cpu.cycle < budget:",
+            "        cycle = cpu.cycle"]
+    for k, (name, lines) in enumerate(zip(STAGES, stages)):
+        body.append(f"        # -- {name} " + "-" * (45 - len(name)))
+        if probed:
+            body.append(f"        probe({k})")
+        body += lines
+    if probed:
+        body.append(f"        probe({len(STAGES)})")
     body.append("        # -- busy accounting / end detection " + "-" * 15)
     body += _emit_epilogue(cpu)
 
     # Version counters are monotonic change detectors read only *between*
-    # runs (Cpu.state_versions): inside the loop they can accumulate in
+    # runs (Cpu.section_versions): inside the loop they can accumulate in
     # plain locals and flush additively on exit.  The try/finally keeps
     # counters honest even if a run dies mid-cycle (and costs nothing on
     # the happy path in CPython 3.11).
@@ -827,8 +889,9 @@ def build_step_source(cpu) -> str:
     ])
     flush = "\n".join([
         # expand the per-dop commit counts in first-commit order so new
-        # by_type / by_mnemonic keys appear exactly where the interpreter
-        # would have inserted them (dict order is serialized state)
+        # by_type / by_mnemonic keys appear exactly where per-commit
+        # counting would have inserted them (dict order is serialized
+        # state)
         "        committed = 0",
         "        for di in commit_order:",
         "            c = commit_counts[di]",
@@ -843,7 +906,7 @@ def build_step_source(cpu) -> str:
         "        cpu.committed += committed",
     ] + [f"        {attr} += {local}" for attr, local in subs])
 
-    return ("def trace_step_loop(cpu, budget):\n"
+    return ("def step_loop(cpu, budget):\n"
             + "\n".join(hoists) + "\n"
             + init + "\n"
             + "    try:\n"
@@ -852,27 +915,34 @@ def build_step_source(cpu) -> str:
             + flush + "\n")
 
 
-def compile_step(cpu) -> Callable:
-    """Compiled specialized run loop, cached per configuration signature."""
-    key = step_key(cpu)
+def compile_step(cpu, probe: Optional[Callable[[int], None]] = None
+                 ) -> Callable:
+    """A step loop function for *cpu*, over code cached per configuration.
+
+    With *probe*, the probed variant: ``probe(k)`` runs at the start of
+    stage ``k`` (see :data:`STAGES`) and ``probe(6)`` after fetch."""
+    probed = probe is not None
+    key = step_key(cpu, probed)
     code = _STEP_CACHE.get(key)
     if code is None:
-        source = build_step_source(cpu)
-        code = compile(source, f"<trace-step {cpu.config.name}>", "exec")
+        module = compile(build_step_source(cpu, probed),
+                         f"<step-loop {cpu.config.name}>", "exec")
+        code = next(const for const in module.co_consts
+                    if isinstance(const, CodeType))
         _STEP_CACHE[key] = code
     p = cpu.config.predictor
     ns = {
+        "__builtins__": __builtins__,
         "SimCode": SimCode,
         "StoreBufferEntry": StoreBufferEntry,
         "insort": insort,
-        "_skey": _simcode_id,
+        "_skey": attrgetter("id"),
         "SimulationException": SimulationException,
         "reg_int": _REG_INT,
         "fp_idx": _FP_IDX,
         "f32r": float32_round,
         "PredCls": type(make_bit_predictor(p.predictor_type,
                                            p.default_state)),
+        "probe": probe,
     }
-    exec(code, ns)
-    return ns["trace_step_loop"]
-
+    return FunctionType(code, ns)

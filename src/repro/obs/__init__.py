@@ -15,10 +15,9 @@ Three submodules with deliberately different blast radii:
   the runner: tracers cross into ``execute_payload`` duck-typed.
 * :mod:`repro.obs.profile` — opt-in sampled cycle-attribution profiler
   for the simulation hot loop (per pipeline stage, plus a chunked
-  step-loop/interpreter throughput timeline).  Attaches from the
-  *outside* via instance attributes, so the uninstrumented fast path is
-  untouched and the module is unreachable from the deterministic
-  closure.
+  throughput timeline).  Attaches from the *outside* by swapping in the
+  probed step loop, so the unprofiled loop is untouched and the module
+  is unreachable from the deterministic closure.
 
 This package intentionally has an empty ``__init__``: importing
 ``repro.obs`` must pull in none of the submodules, so static layering

@@ -1,19 +1,19 @@
 """Opt-in sampled profiler for the simulation hot loop.
 
-Two instruments, both attached from the *outside* so the uninstrumented
-fast path is byte-for-byte untouched:
+Two instruments, both attached from the *outside* so an unprofiled CPU
+runs exactly the code it would run without this module:
 
-* :class:`PipelineProfiler` — per-stage cycle attribution for the
-  interpreter path.  ``Cpu.step()`` calls its stage methods through
-  ``self._commit`` etc., so Python's instance-attribute shadowing lets
-  us install timing wrappers on one ``Cpu`` *instance* without touching
-  the class: a detached CPU pays nothing, not even a branch.  Timing is
-  stride-sampled (clock reads on every N-th call per stage) so the
-  attached overhead stays small and the *relative* shares stay honest.
+* :class:`PipelineProfiler` — per-stage time attribution for the step
+  loop every run and step executes.  Attaching swaps the CPU's loop for
+  the *probed* variant (the same generated source with a ``probe(k)``
+  call at each stage boundary, see :mod:`repro.core.tracegen`);
+  detaching restores the unprobed loop, so a detached CPU pays nothing,
+  not even a branch.  Timing is stride-sampled (clock reads on every
+  N-th cycle) so the attached overhead stays small and the *relative*
+  shares stay honest.
 * :class:`ResidencyProfiler` — chunked throughput timeline for
   uninstrumented runs: drives ``cpu.run`` in cycle slices and records
-  cycles/instructions per slice and which path ran it (the trace tier's
-  step loop or the interpreter).
+  cycles/instructions per slice.
 
 Clocks are injected (``time_fn=``) for deterministic tests.  This
 module is never imported by ``explore/runner.py``'s closure, by
@@ -27,20 +27,16 @@ from __future__ import annotations
 # never enter records; this module sits outside the determinism closure
 # (see module docstring and the layering test in tests/obs/).
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
+
+from repro.core import trace
+from repro.core.tracegen import STAGES
 
 __all__ = ["PipelineProfiler", "ResidencyProfiler", "PIPELINE_STAGES"]
 
-#: the six per-cycle stage methods of ``Cpu.step``, reverse pipeline
-#: order (commit first), exactly as the interpreter calls them
-PIPELINE_STAGES = (
-    "_commit",
-    "_memory_step",
-    "_execute_fus",
-    "_issue",
-    "_dispatch",
-    "_fetch",
-)
+#: the six per-cycle stages of the step loop, reverse pipeline order
+#: (commit first), exactly as the loop runs them
+PIPELINE_STAGES = STAGES
 
 
 class PipelineProfiler:
@@ -54,9 +50,9 @@ class PipelineProfiler:
         profiler.detach()
         report = profiler.report()
 
-    ``attach`` is only meaningful on the interpreter path (a commit
-    hook, or ``trace=False``, forces it); the trace tier's step loop
-    bypasses ``step()`` entirely — use :class:`ResidencyProfiler` there.
+    Every cycle counts a call per stage it enters; every *stride*-th
+    cycle also reads the clock at each stage boundary.  Busy accounting
+    and end detection at the tail of a cycle belong to no stage.
     """
 
     def __init__(self, cpu, stride: int = 64,
@@ -73,19 +69,16 @@ class PipelineProfiler:
     def attach(self) -> None:
         if self._attached:
             return
-        for name in PIPELINE_STAGES:
-            inner = getattr(self.cpu, name)   # bound class method
-            setattr(self.cpu, name, self._wrap(name, inner))
+        self.cpu._step_loop = trace.compile_step(self.cpu,
+                                                 probe=self._probe())
         self._attached = True
 
     def detach(self) -> None:
-        """Remove the wrappers; the instance falls back to the class
-        methods and the CPU is indistinguishable from an unprofiled one."""
+        """Restore the unprobed step loop; the CPU is then
+        indistinguishable from an unprofiled one."""
         if not self._attached:
             return
-        for name in PIPELINE_STAGES:
-            if name in self.cpu.__dict__:
-                delattr(self.cpu, name)
+        self.cpu._step_loop = trace.compile_step(self.cpu)
         self._attached = False
 
     def __enter__(self) -> "PipelineProfiler":
@@ -96,23 +89,34 @@ class PipelineProfiler:
         self.detach()
 
     # ------------------------------------------------------------------
-    def _wrap(self, name: str, inner):
+    def _probe(self) -> Callable[[int], None]:
+        """The loop's ``probe(k)``: *k* in 0..5 enters stage *k*, 6 ends
+        fetch.  On a sampled cycle each boundary closes the stage before
+        it."""
         stride = self.stride
         time_fn = self._time
-        cell = self._cells[name]
+        cells = [self._cells[name] for name in PIPELINE_STAGES]
+        last = len(cells)
+        sampling = False
+        mark = 0.0
 
-        def wrapper():
-            cell[0] += 1
-            if cell[0] % stride:
-                return inner()
-            t0 = time_fn()
-            try:
-                return inner()
-            finally:
-                cell[2] += time_fn() - t0
+        def probe(k: int) -> None:
+            nonlocal sampling, mark
+            if k < last:
+                cells[k][0] += 1
+                if k == 0:
+                    sampling = cells[0][0] % stride == 0
+                    if sampling:
+                        mark = time_fn()
+                    return
+            if sampling:
+                now = time_fn()
+                cell = cells[k - 1]
                 cell[1] += 1
+                cell[2] += now - mark
+                mark = now
 
-        return wrapper
+        return probe
 
     # ------------------------------------------------------------------
     def report(self) -> dict:
@@ -123,7 +127,7 @@ class PipelineProfiler:
         for name in PIPELINE_STAGES:
             calls, sampled, seconds = self._cells[name]
             stages.append({
-                "stage": name.lstrip("_"),
+                "stage": name,
                 "calls": int(calls),
                 "sampled": int(sampled),
                 "sampledS": round(seconds, 6),
@@ -137,9 +141,7 @@ class ResidencyProfiler:
     """Chunked throughput timeline of an uninstrumented run.
 
     Drives ``cpu.run`` in fixed cycle slices and records, per slice,
-    the cycle/instruction deltas, wall seconds, cycles/sec, and the
-    ``mode`` that ran it: ``"traced"`` (the specialized step loop) or
-    ``"interpreter"``."""
+    the cycle/instruction deltas, wall seconds and cycles/sec."""
 
     def __init__(self, cpu, chunk_cycles: int = 50_000,
                  time_fn: Callable[[], float] = time.perf_counter):
@@ -166,8 +168,6 @@ class ResidencyProfiler:
                 "instructions": cpu.committed - insns0,
                 "wallS": round(wall, 6),
                 "cps": round(cycles / wall, 1) if wall > 0 else None,
-                "mode": ("traced" if cpu._step_loop is not None
-                         else "interpreter"),
             })
 
     # ------------------------------------------------------------------

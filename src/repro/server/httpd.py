@@ -20,6 +20,7 @@ import gzip
 import json
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -42,12 +43,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown: the stream cannot be resynced
+            self.close_connection = True
+            raise ApiError(f"invalid Content-Length: {header!r}")
         if length == 0:
             return None
         raw = self.rfile.read(length)
         if self.headers.get("Content-Encoding", "") == "gzip":
-            raw = gzip.decompress(raw)
+            try:
+                raw = gzip.decompress(raw)
+            except (OSError, EOFError, zlib.error) as exc:
+                raise ApiError(f"invalid gzip body: {exc}") from exc
         if not raw:
             return None
         try:

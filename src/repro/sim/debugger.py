@@ -102,31 +102,23 @@ class DebugSession:
         """Run until the next debug event (or halt); returns the event."""
         sim = self.simulation
         hit: List[DebugEvent] = []
-
-        def observer(cpu) -> None:
-            # breakpoint detection: an instruction at a watched PC committed
-            # in the step that just ran
-            for simcode in getattr(cpu, "_debug_committed", []):
-                if simcode.pc in self._breakpoints:
-                    hit.append(DebugEvent(kind="breakpoint", cycle=cpu.cycle,
-                                          pc=simcode.pc))
-
-        # lightweight commit hook: register the per-commit observer once
-        cpu = sim.cpu
-        if not hasattr(cpu, "_debug_committed"):
-            cpu._debug_committed = []
-            cpu.commit_hook = cpu._debug_committed.append
-
         steps = 0
         while steps < max_cycles:
             if sim.cpu.halted:
                 event = DebugEvent(kind="halt", cycle=sim.cpu.cycle)
                 self.events.append(event)
                 return event
-            sim.cpu._debug_committed.clear()
+            # commit runs before dispatch within a cycle, so what this step
+            # commits is exactly the ROB entries present before it that now
+            # carry a commit timestamp (in commit order)
+            before = list(sim.cpu.rob) if self._breakpoints else ()
             sim.step(1)
             steps += 1
-            observer(sim.cpu)
+            for simcode in before:
+                if "commit" in simcode.timestamps \
+                        and simcode.pc in self._breakpoints:
+                    hit.append(DebugEvent(kind="breakpoint",
+                                          cycle=sim.cpu.cycle, pc=simcode.pc))
             # register watches
             for reg, old in list(self._reg_watches.items()):
                 new = sim.cpu.arch_regs.read(reg)
@@ -161,13 +153,11 @@ class DebugSession:
         """Jump to an absolute *target_cycle* (checkpoint-seeded).
 
         With no breakpoints or watches installed there is nothing to
-        probe along the way: the commit hook is lifted so the move runs
-        on the uninstrumented fast path (the trace tier's step loop via
-        :meth:`Simulation.seek` — checkpoint-seeded fast-forward), and
-        the hook is reinstalled before instrumented stepping resumes.
-        Determinism makes the fast-forwarded state bit-identical to the
-        stepped one, so breakpoints added afterwards behave as if every
-        cycle had been stepped.
+        probe along the way, so the move is a plain :meth:`Simulation.seek`
+        (checkpoint-seeded fast-forward).  Determinism makes the
+        fast-forwarded state bit-identical to the stepped one, so
+        breakpoints added afterwards behave as if every cycle had been
+        stepped.
 
         With debug state installed, falls back to the instrumented loop
         so events along the way still fire; the returned event is then
@@ -176,13 +166,8 @@ class DebugSession:
         cpu = sim.cpu
         if (not self._breakpoints and not self._reg_watches
                 and not self._mem_watches):
-            hook = cpu.commit_hook
-            cpu.commit_hook = None
-            try:
-                sim.seek(target_cycle)
-            finally:
-                cpu = sim.cpu          # seek may rebuild the CPU (reset)
-                cpu.commit_hook = hook
+            sim.seek(target_cycle)
+            cpu = sim.cpu              # seek may rebuild the CPU (reset)
             kind = "halt" if cpu.halted else "seek"
             event = DebugEvent(kind=kind, cycle=cpu.cycle)
             self.events.append(event)

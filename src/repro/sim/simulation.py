@@ -16,11 +16,11 @@ This module (and everything below it — :mod:`repro.core.pipeline`,
 :mod:`repro.core.trace`) is *outside* the telemetry plane: it never
 imports :mod:`repro.obs`, reads no wall clock, and emits no metrics.
 Profiling is attach-from-outside only — :class:`repro.obs.profile`
-wraps stage methods as instance attributes and removes them on detach,
-so an unprofiled ``Simulation.run()`` executes the exact same code as
-a build that has never heard of the profiler (pinned by
-``tests/obs/test_profile.py::TestLayering`` and the throughput ratio
-in ``benchmarks/test_obs_overhead.py``).  Telemetry for sweeps happens
+swaps in the probed variant of the CPU's step loop and restores the
+unprobed one on detach, so an unprofiled ``Simulation.run()`` executes
+the exact same code as a build that has never heard of the profiler
+(pinned by ``tests/obs/test_profile.py::TestLayering`` and the
+throughput ratio in ``benchmarks/test_obs_overhead.py``).  Telemetry for sweeps happens
 one layer up, in the explore backends, keyed off the deterministic
 :class:`SimulationResult` this module returns.
 """
@@ -212,7 +212,7 @@ class Simulation:
 
         With no observers and a gap worth more than two checkpoint
         intervals, the bulk of the move runs **uninstrumented**
-        (:meth:`Cpu.run` — the trace tier's step loop when enabled) to the
+        (one :meth:`Cpu.run` call instead of a call per cycle) to the
         last interval boundary below the target, drops the checkpoint the
         stepped path would have left there, and only the tail interval is
         stepped.  Determinism makes the two paths land in bit-identical

@@ -8,6 +8,17 @@ from repro.core.config import (BufferConfig, CpuConfig, FuSpec, MemoryConfig,
                                preset_names)
 from repro.errors import ConfigError
 
+LOOP = """
+    li a0, 0
+    li t0, 1
+    li t1, 20
+loop:
+    add a0, a0, t0
+    addi t0, t0, 1
+    ble t0, t1, loop
+    ebreak
+"""
+
 
 class TestFuSpec:
     def test_fx_defaults(self):
@@ -117,6 +128,28 @@ class TestJson:
     def test_invalid_json_raises(self):
         with pytest.raises(ConfigError):
             CpuConfig.from_json_str("{oops")
+
+    def test_legacy_trace_key_is_ignored(self):
+        """Stored sweep specs and warehouse rows carry the retired
+        ``"trace": false`` switch; such a config loads, runs, and yields
+        the same record as one without the key."""
+        from repro.explore import SweepSpec, run_sweep
+        legacy = CpuConfig().to_json()
+        legacy["trace"] = False
+        assert CpuConfig.from_json(legacy) == CpuConfig()
+        assert "trace" not in CpuConfig.from_json(legacy).to_json()
+        records = []
+        for config in (legacy, CpuConfig().to_json()):
+            spec = SweepSpec.from_json({
+                "name": "legacy", "config": config,
+                "programs": [{"name": "p", "source": LOOP}],
+                "axes": [{"name": "w", "path": "config.buffers.fetchWidth",
+                          "values": [1, 2]}],
+            })
+            run = run_sweep(spec, workers=0)
+            assert all(record["ok"] for record in run.records)
+            records.append(json.dumps(run.records, sort_keys=True))
+        assert records[0] == records[1]
 
 
 class TestPresets:

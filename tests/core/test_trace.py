@@ -1,11 +1,15 @@
-"""Trace tier: the config-specialized step loop vs the interpreter.
+"""The config-specialized step loop: one definition, any call granularity.
 
-The tier's one guarantee is that it is invisible: any uninstrumented run
-with the step loop enabled must land in byte-identical architectural
-state to the same run with ``config.trace = False``.  These tests pin
-that parity (on a hot loop, on stores into the notional code region, and
-on every golden program), the enable/disable switches, and the
-per-configuration code cache.
+The step loop is the only timing model.  A run to completion calls it
+once; the per-cycle path (``Cpu.step``, what the debugger, the server's
+stepping and every checkpoint replay use) calls it once per cycle, so
+every per-call hoist and every counter flush happens at each cycle
+boundary.  Both must land in byte-identical state.  These tests pin
+that parity (on a hot loop, on stores into the notional code region,
+and on every golden program — "interpreted" below means driven one
+``Cpu.step()`` at a time), one loop per ``Cpu``, and the
+per-configuration code cache.  The frozen per-cycle reference in
+``test_pipeline_reference.py`` pins the schedule itself.
 """
 
 import importlib.util
@@ -14,9 +18,8 @@ import pathlib
 
 import pytest
 
-from repro import CpuConfig, Simulation
-from repro.core import tracegen
-from repro.core.trace import trace_enabled
+from repro import Simulation
+from repro.core import trace, tracegen
 
 GOLDEN_MODULE = (pathlib.Path(__file__).resolve().parents[1]
                  / "integration" / "test_golden_determinism.py")
@@ -61,8 +64,13 @@ GOLDEN_CASES = _golden_cases()
 
 
 def interpret(sim):
-    sim.cpu.config.trace = False
-    sim.cpu._trace_wanted = False
+    """Drive *sim* to its halt one ``Cpu.step()`` (one loop call) at a
+    time, as instrumented stepping does."""
+    cpu = sim.cpu
+    while cpu.halted is None and cpu.cycle < sim.config.max_cycles:
+        cpu.step()
+    if cpu.halted is None:
+        cpu.halted = f"cycle budget reached ({sim.config.max_cycles})"
     return sim
 
 
@@ -73,9 +81,7 @@ def run_traced(source, **kw):
 
 
 def run_interpreted(source, **kw):
-    sim = interpret(Simulation.from_source(source, **kw))
-    sim.run()
-    return sim
+    return interpret(Simulation.from_source(source, **kw))
 
 
 def assert_parity(traced, interpreted):
@@ -88,27 +94,29 @@ def assert_parity(traced, interpreted):
 class TestEnablement:
     def test_hot_loop_compiles_and_matches_interpreter(self):
         traced = run_traced(HOT_LOOP)
-        assert traced.cpu._trace_wanted is True
         assert traced.cpu._step_loop is not None
         assert_parity(traced, run_interpreted(HOT_LOOP))
 
-    def test_config_toggle_disables_tier(self):
-        sim = Simulation.from_source(HOT_LOOP)
-        sim.cpu.config.trace = False
-        sim.run()
-        assert sim.cpu._step_loop is None
+    def test_stepping_compiles_one_loop_per_cpu(self, monkeypatch):
+        """``trace.compile_step`` is looked up through the module (the
+        benchmark's span wrapper relies on that) and called once per
+        ``Cpu``, never once per cycle."""
+        calls = []
+        real = trace.compile_step
 
-    def test_env_toggle_disables_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not trace_enabled(CpuConfig())
-        sim = Simulation.from_source(HOT_LOOP)
-        sim.run()
-        assert sim.cpu._step_loop is None
+        def counting(cpu, *args, **kwargs):
+            calls.append(cpu)
+            return real(cpu, *args, **kwargs)
 
-    def test_instrumented_stepping_never_builds_a_tier(self):
+        monkeypatch.setattr(trace, "compile_step", counting)
         sim = Simulation.from_source(HOT_LOOP)
+        assert sim.cpu._step_loop is None        # built on first use
         sim.step(300)
-        assert sim.cpu._step_loop is None
+        loop = sim.cpu._step_loop
+        sim.step(10)
+        sim.run()
+        assert sim.cpu._step_loop is loop
+        assert calls == [sim.cpu]
 
 
 class TestParity:
@@ -120,11 +128,7 @@ class TestParity:
     def test_golden_program_matches_interpreter(self, name):
         traced = GOLDEN_CASES[name]()
         traced.run()
-        assert traced.cpu._step_loop is not None
-        interpreted = interpret(GOLDEN_CASES[name]())
-        interpreted.run()
-        assert interpreted.cpu._step_loop is None
-        assert_parity(traced, interpreted)
+        assert_parity(traced, interpret(GOLDEN_CASES[name]()))
 
 
 class TestStepCache:
@@ -141,4 +145,15 @@ class TestStepCache:
         assert tracegen._STEP_CACHE[key] is code
         # one code object, two per-Cpu function instances
         assert first.cpu._step_loop is not second.cpu._step_loop
-        assert first.cpu._step_loop.__code__ is second.cpu._step_loop.__code__
+        assert first.cpu._step_loop.__code__ is code
+        assert second.cpu._step_loop.__code__ is code
+
+    def test_probed_variant_has_its_own_entry(self):
+        sim = Simulation.from_source(HOT_LOOP)
+        probed = trace.compile_step(sim.cpu, probe=lambda k: None)
+        plain = trace.compile_step(sim.cpu)
+        assert probed.__code__ is tracegen._STEP_CACHE[
+            tracegen.step_key(sim.cpu, probed=True)]
+        assert plain.__code__ is tracegen._STEP_CACHE[
+            tracegen.step_key(sim.cpu)]
+        assert probed.__code__ is not plain.__code__

@@ -1,10 +1,11 @@
-"""Hot-loop profiling hooks: instance-attribute wrapping, stride
-sampling, residency chunking — and the layering pin that keeps the
-profiler out of the deterministic closure entirely."""
+"""Hot-loop profiling hooks: the probed step loop, stride sampling,
+residency chunking — and the layering pin that keeps the profiler out of
+the deterministic closure entirely."""
 
 import ast
 
 from repro import Simulation
+from repro.core import tracegen
 from repro.obs.profile import (PIPELINE_STAGES, PipelineProfiler,
                                ResidencyProfiler)
 
@@ -20,62 +21,69 @@ loop:
 """
 
 
-def interpreter_sim():
-    sim = Simulation.from_source(LOOP)
-    # pin the interpreter path: PipelineProfiler wraps the per-cycle
-    # stage methods, which the trace tier's step loop bypasses
-    sim.cpu._trace_wanted = False
-    return sim
-
-
 class TestPipelineProfiler:
     def test_attach_profiles_every_stage(self):
-        sim = interpreter_sim()
+        """A default-config run profiles the loop jobs actually run:
+        six stages, each entered once per cycle, every 4th one timed."""
+        sim = Simulation.from_source(LOOP)
         profiler = PipelineProfiler(sim.cpu, stride=4)
         profiler.attach()
         sim.run(5_000)
         profiler.detach()
         report = profiler.report()
         assert [stage["stage"] for stage in report["stages"]] \
-            == [name.lstrip("_") for name in PIPELINE_STAGES]
+            == ["commit", "memory", "execute", "issue", "dispatch", "fetch"]
+        assert list(PIPELINE_STAGES) \
+            == [stage["stage"] for stage in report["stages"]]
+        cycles = sim.cycle
         for stage in report["stages"]:
-            assert stage["calls"] > 0
-            # stride sampling: roughly calls/stride timed samples
-            assert stage["sampled"] == stage["calls"] // 4
+            # the halting cycle stops after commit
+            assert stage["calls"] in (cycles, cycles - 1)
+            # stride sampling: one timed sample per 4 cycles
+            assert abs(stage["sampled"] - stage["calls"] // 4) <= 1
         assert report["totalSampledS"] >= 0
         shares = [stage["share"] for stage in report["stages"]]
         assert abs(sum(shares) - 1.0) < 0.01 or sum(shares) == 0.0
 
-    def test_detach_restores_class_methods(self):
-        sim = interpreter_sim()
+    def test_detach_restores_unprobed_loop(self):
+        sim = Simulation.from_source(LOOP)
         cpu = sim.cpu
-        baseline = {name: getattr(cpu, name) for name in PIPELINE_STAGES}
+        sim.step(5)
+        plain = cpu._step_loop
+        attrs = set(vars(cpu))
         with PipelineProfiler(cpu, stride=2):
-            assert any(name in cpu.__dict__ for name in PIPELINE_STAGES)
-        # instance dict is clean again: attribute lookup falls back to
-        # the class, so an unprofiled CPU is byte-for-byte untouched
-        assert not any(name in cpu.__dict__ for name in PIPELINE_STAGES)
-        for name in PIPELINE_STAGES:
-            assert getattr(cpu, name).__func__ is baseline[name].__func__
+            assert cpu._step_loop.__code__ is tracegen._STEP_CACHE[
+                tracegen.step_key(cpu, probed=True)]
+            sim.step(5)
+        # the unprobed cache entry is back and nothing else was added:
+        # an unprofiled CPU is byte-for-byte untouched
+        assert cpu._step_loop.__code__ is plain.__code__
+        assert cpu._step_loop.__code__ is tracegen._STEP_CACHE[
+            tracegen.step_key(cpu)]
+        assert set(vars(cpu)) == attrs
 
     def test_results_unchanged_by_profiling(self):
-        plain = interpreter_sim()
+        plain = Simulation.from_source(LOOP)
         result_plain = plain.run(20_000)
-        profiled = interpreter_sim()
+        profiled = Simulation.from_source(LOOP)
         with PipelineProfiler(profiled.cpu, stride=8):
             result_profiled = profiled.run(20_000)
         assert result_plain.cycles == result_profiled.cycles
         assert result_plain.committed == result_profiled.committed
+        assert plain.snapshot_cold() == profiled.snapshot_cold()
 
     def test_injected_clock(self):
-        sim = interpreter_sim()
+        sim = Simulation.from_source(LOOP)
         ticks = iter(float(i) for i in range(100_000))
         profiler = PipelineProfiler(sim.cpu, stride=1,
                                     time_fn=ticks.__next__)
         with profiler:
             sim.run(50)
         report = profiler.report()
+        # one tick per stage boundary: every timed stage took exactly 1s
         assert report["totalSampledS"] > 0
+        for stage in report["stages"]:
+            assert stage["sampledS"] == stage["sampled"]
 
 
 class TestResidencyProfiler:
@@ -88,16 +96,8 @@ class TestResidencyProfiler:
         assert report["totalCycles"] == sim.cpu.cycle
         assert len(report["chunks"]) >= 2
         assert all(chunk["cycles"] > 0 for chunk in report["chunks"])
-        # the step loop runs every chunk; chunks carry no tier stats
-        assert {chunk["mode"] for chunk in report["chunks"]} == {"traced"}
-        assert all("tier" not in chunk for chunk in report["chunks"])
-
-    def test_interpreter_mode_reported_without_tier(self):
-        sim = interpreter_sim()
-        profiler = ResidencyProfiler(sim.cpu, chunk_cycles=1_000)
-        profiler.run(100_000)
-        assert {chunk["mode"] for chunk in profiler.chunks} \
-            == {"interpreter"}
+        assert all(set(chunk) == {"cycles", "instructions", "wallS", "cps"}
+                   for chunk in report["chunks"])
 
 
 def module_imports(path):

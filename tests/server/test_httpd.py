@@ -3,6 +3,7 @@
 import gzip
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -61,6 +62,40 @@ class TestHttpBasics:
             client.request("POST", "/simulate", {"code": 123})
         except ApiError:
             pass
+        assert client.health()["status"] == "ok"
+
+
+def _raw_exchange(server, headers: str, body: bytes = b""):
+    """Send a hand-written request; (status, payload).  The socket
+    timeout turns a handler stuck reading the body into a failure."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=5) as sock:
+        sock.sendall(f"POST /parseAsm HTTP/1.1\r\nHost: test\r\n"
+                     f"{headers}\r\n".encode() + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+class TestRequestBodyFaults:
+    def test_negative_content_length_is_400(self, server):
+        status, payload = _raw_exchange(server, "Content-Length: -1\r\n")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_non_numeric_content_length_is_400(self, server):
+        status, payload = _raw_exchange(server,
+                                        "Content-Length: twelve\r\n")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_corrupt_gzip_body_is_400(self, server, client):
+        body = b"this is not gzip"
+        status, payload = _raw_exchange(
+            server, f"Content-Length: {len(body)}\r\n"
+                    "Content-Encoding: gzip\r\n", body)
+        assert status == 400
+        assert "gzip" in payload["error"]
         assert client.health()["status"] == "ok"
 
 

@@ -67,6 +67,22 @@ class TestBreakpoints:
         event = dbg.run()
         assert event.kind == "halt"
 
+    def test_break_on_second_commit_of_a_cycle(self):
+        """Both instructions a 2-wide commit retires in one cycle are
+        checked, not just the ROB head."""
+        sim = Simulation.from_source("li a0, 1\nli a1, 2\nli a2, 3\nebreak")
+        dbg = DebugSession(sim)
+        dbg.add_breakpoint(4)
+        event = dbg.run()
+        assert (event.kind, event.pc) == ("breakpoint", 4)
+        reference = Simulation.from_source(
+            "li a0, 1\nli a1, 2\nli a2, 3\nebreak")
+        reference.step(event.cycle - 1)
+        head, second = list(reference.cpu.rob)[:2]
+        reference.step(1)
+        assert (head.pc, second.pc) == (0, 4)
+        assert "commit" in head.timestamps and "commit" in second.timestamps
+
     def test_breakpoints_listing(self):
         dbg = session()
         dbg.add_breakpoint("loop")

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import CpuConfig, Simulation
+from repro.sim.debugger import DebugSession
 from repro.sim.state import (
     SNAPSHOT_SECTIONS,
     CheckpointRing,
@@ -308,13 +309,31 @@ class TestCheckpointTimeTravel:
         assert sim.cycle == 60
         assert sim.last_replay_cycles <= 16
 
-    def test_debugger_commit_hook_survives_time_travel(self):
-        """restore_state is in-place: observers keep their CPU reference."""
-        sim = Simulation.from_source(LOOP, checkpoint_interval=16)
+    def test_debugger_breakpoint_survives_time_travel(self):
+        """A breakpoint armed before a step_back/seek pair fires at the same
+        cycle and pc as on a fresh session: commits are read off the ROB's
+        timestamps, so nothing per-CPU has to survive the restore."""
+        fresh = DebugSession(Simulation.from_source(LOOP))
+        fresh.add_breakpoint("loop")
+        first = fresh.run()
+        assert first.kind == "breakpoint"
+
+        dbg = DebugSession(Simulation.from_source(LOOP,
+                                                  checkpoint_interval=16))
+        dbg.add_breakpoint("loop")
+        sim = dbg.simulation
         cpu = sim.cpu
-        sim.step(50)
-        sim.step_back(20)
-        assert sim.cpu is cpu
+        sim.step(first.cycle + 40)              # well past the first hit
+        sim.step_back(44)                        # back before it
+        assert sim.cycle < first.cycle and sim.cpu is cpu
+        event = dbg.run_to(first.cycle + 20)     # seek across it
+        assert (event.kind, event.cycle, event.pc) \
+            == ("breakpoint", first.cycle, first.pc)
+
+        sim.seek(1)                              # and once more, backward
+        event = dbg.run()
+        assert (event.kind, event.cycle, event.pc) \
+            == ("breakpoint", first.cycle, first.pc)
 
 
 class TestSnapshotDelta:
