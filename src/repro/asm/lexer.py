@@ -140,23 +140,45 @@ def tokenize_line(text: str, line_no: int) -> List[Token]:
     return tokens
 
 
+#: what can hide a ``/*`` from the block-comment stripper: string and
+#: character literals (as the tokenizer reads them, never across a line)
+#: and line comments; plus the ``/*`` opener itself
+_BLOCK_SCAN_RE = re.compile(
+    r"""
+    "(\\.|[^"\\\n])*"
+  | '(\\.|[^'\\\n])'
+  | (\#|//)[^\n]*
+  | /\*
+    """,
+    re.VERBOSE,
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
 def strip_block_comments(source: str) -> str:
-    """Remove ``/* ... */`` comments, preserving line numbers."""
+    """Remove ``/* ... */`` comments, preserving line numbers.
+
+    A ``/*`` inside a string or character literal, or after a ``#`` / ``//``
+    line comment, opens nothing.  The delimiters are dropped and the
+    comment body is blanked; an unterminated comment runs to the end."""
+    if "/*" not in source:
+        return source
     out = []
-    i = 0
-    in_comment = False
-    while i < len(source):
-        if not in_comment and source.startswith("/*", i):
-            in_comment = True
-            i += 2
-        elif in_comment and source.startswith("*/", i):
-            in_comment = False
-            i += 2
-        else:
-            ch = source[i]
-            if in_comment:
-                out.append("\n" if ch == "\n" else " ")
-            else:
-                out.append(ch)
-            i += 1
+    pos = 0
+    while True:
+        match = _BLOCK_SCAN_RE.search(source, pos)
+        if match is None:
+            out.append(source[pos:])
+            break
+        if match.group(0) != "/*":
+            out.append(source[pos:match.end()])
+            pos = match.end()
+            continue
+        out.append(source[pos:match.start()])
+        end = source.find("*/", match.end())
+        body = source[match.end():] if end < 0 else source[match.end():end]
+        out.append(_NOT_NEWLINE_RE.sub(" ", body))
+        if end < 0:
+            break
+        pos = end + 2
     return "".join(out)

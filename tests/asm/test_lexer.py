@@ -107,3 +107,35 @@ class TestBlockComments:
 
     def test_unterminated_comment_swallows_rest(self):
         assert strip_block_comments("a /* b").startswith("a ")
+
+    def test_block_open_inside_string_is_text(self):
+        source = '.string "a/*b"\nli a0, 1 /* real */\n'
+        assert strip_block_comments(source) == \
+            '.string "a/*b"\nli a0, 1 ' + ' ' * len(' real ') + '\n'
+
+    def test_block_open_after_line_comment_is_text(self):
+        source = "li a0, 1 # see /* here\nli a1, 2\n// and /* here\nli a2, 3"
+        assert strip_block_comments(source) == source
+
+    def test_char_literal_slash_is_not_an_opener(self):
+        assert strip_block_comments("li a0, '/'*2") == "li a0, '/'*2"
+
+
+class TestBlockCommentsInPrograms:
+    def test_string_with_comment_markers_assembles_verbatim(self):
+        from repro.asm.parser import assemble
+        program = assemble('.data\nmsg: .asciiz "x/*y*/z"\n.text\nebreak\n')
+        symbol = program.find_symbol("msg")
+        start = symbol.address - program.data_base
+        assert bytes(program.data[start:start + 8]) == b"x/*y*/z\0"
+
+    def test_line_comment_does_not_swallow_following_code(self):
+        from repro.asm.parser import assemble
+        program = assemble("li a0, 1 # see /* here\nli a1, 2\nli a2, 3\n")
+        assert [i.operands["rd"] for i in program.instructions] == \
+            ["x10", "x11", "x12"]
+
+    def test_string_directive_with_opener_is_no_error(self):
+        from repro.asm.parser import assemble
+        program = assemble('.data\ns: .string "a/*b"\n.text\nebreak\n')
+        assert program.find_symbol("s").size == 5

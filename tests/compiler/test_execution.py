@@ -304,6 +304,18 @@ int main(void) {
 }
 """, 5 + ord("h"))
 
+    def test_string_literal_keeps_comment_markers(self):
+        # the literal reaches the assembler as .asciiz "x/*y*/z"; its
+        # /* ... */ must not be stripped as a block comment
+        all_levels_agree("""
+int main(void) {
+    char *s = "x/*y*/z";
+    int n = 0;
+    while (s[n]) n++;
+    return n;
+}
+""", 7)
+
     def test_matrix_flattened(self):
         all_levels_agree("""
 int main(void) {
