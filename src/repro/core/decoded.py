@@ -26,7 +26,8 @@ from repro.isa.instruction import ArgType, InstructionDef
 
 #: operand-plumbing kinds (``DecodedOp.sources`` entries)
 SRC_VAL = 0   # immediate or hardwired x0: payload is the captured value
-SRC_REG = 1   # renamable register: payload is the register name
+SRC_INT = 1   # renamable integer register: payload is its name
+SRC_FP = 2    # renamable FP register: payload is its name
 
 _PACK_F32 = struct.Struct("<f").pack
 _PACK_F64 = struct.Struct("<d").pack
@@ -56,10 +57,12 @@ class DecodedOp:
         "load_is_float", "store_value_name", "store_encode",
         # branch behaviour
         "is_branch", "is_unconditional", "static_target", "target_expr",
-        # semantics
-        "expr",
-        # operand plumbing: ((arg_name, kind, payload), ...)
-        "sources",
+        # semantics; compute = the fused FX/FP write-back value (or the LS
+        # address) as (values, pc) -> (value, exception), None for branches
+        "expr", "compute",
+        # operand plumbing: ((arg_name, kind, payload, register index), ...)
+        # in argument order, split into immediates and register reads
+        "sources", "imm_values", "reg_sources",
         # destination plumbing
         "dest_name", "dest_arch", "has_dest", "needs_tag",
     )
@@ -97,22 +100,30 @@ class DecodedOp:
         self.target_expr = Expression.compile(d.target) if d.target else None
         self.static_target = self._static_target(instruction)
 
-        sources: List[Tuple[str, int, object]] = []
+        sources: List[Tuple[str, int, object, int]] = []
         for arg in d.arguments:
             operand = instruction.operands[arg.name]
             if arg.is_register:
                 if arg.write_back:
                     continue
                 if operand == "x0":
-                    sources.append((arg.name, SRC_VAL, 0))
+                    sources.append((arg.name, SRC_VAL, 0, 0))
                 else:
-                    sources.append((arg.name, SRC_REG, operand))
+                    kind = SRC_FP if operand[0] == "f" else SRC_INT
+                    sources.append((arg.name, kind, operand, int(operand[1:])))
             else:
-                sources.append((arg.name, SRC_VAL, operand))
+                sources.append((arg.name, SRC_VAL, operand, 0))
         self.sources = tuple(sources)
+        self.imm_values = {name: payload for name, kind, payload, _ in sources
+                           if kind == SRC_VAL}
+        self.reg_sources = tuple(s for s in sources if s[1] != SRC_VAL)
 
         self.has_dest = dest is not None
         self.dest_name = dest.name if dest is not None else None
+        self.compute = None
+        if self.expr is not None and not self.is_branch:
+            self.compute = self.expr.result_fn(
+                self.dest_name if self.fu_kind in ("FX", "FP") else None)
         self.dest_arch = instruction.operands[dest.name] \
             if dest is not None else None
         self.needs_tag = self.has_dest and self.dest_arch != "x0"

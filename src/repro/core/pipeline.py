@@ -37,7 +37,6 @@ from repro.errors import MemoryAccessError, SimulationException
 from repro.isa.instruction import FuClass
 from repro.isa.registers import RegisterFile
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import MemoryModel
 from repro.memory.main_memory import MainMemory
 from repro.predictor.unit import BranchPredictor
 from repro.sim.state import SNAPSHOT_SECTIONS, SnapshotCache
@@ -109,6 +108,10 @@ class FuRuntime:
         }
 
 
+#: "no pending store drain" (later than any reachable cycle)
+NEVER = 1 << 62
+
+
 class StoreBufferEntry:
     """One store tracked from dispatch until its post-commit drain."""
 
@@ -144,7 +147,6 @@ class Cpu:
             Cache(config.cache, self.memory,
                   next_level=self.l2_cache or self.memory)
             if config.cache.enabled else None)
-        self.memmodel = MemoryModel(self.memory, self.cache)
         self.predictor = BranchPredictor(config.predictor)
 
         # -- pipeline structures -----------------------------------------
@@ -172,6 +174,9 @@ class Cpu:
         self.store_buffer: List[StoreBufferEntry] = []
         #: store-buffer index: simcode id -> entry (commit/execute lookups)
         self._store_by_id: Dict[int, StoreBufferEntry] = {}
+        #: earliest drain_until of a committed store-buffer entry (NEVER if
+        #: none): the memory stage scans the buffer only once it is due
+        self._drain_at = NEVER
         #: event-driven wake-up: tag -> [(waiting simcode, operand name)]
         self._tag_waiters: Dict[int, List[Tuple[SimCode, str]]] = {}
 
@@ -385,14 +390,19 @@ class Cpu:
             raw = forward_src.data[off:off + size]
             value = self._decode_load_value(load, raw)
             return "forward", value, 1
+        memory = self.memory
         try:
-            value, delay, tx = self.memmodel.load(
-                addr, size, dop.memory_signed, dop.load_is_float,
-                self.cycle, load_id)
-            load.transaction = tx
+            if self.cache is not None:
+                delay = self.cache.access(addr, size, False, self.cycle)[0]
+            else:
+                memory.check_range(addr, size)
+                delay = memory.load_latency
+                memory.load_count += 1
+                memory.bytes_read += size
         except MemoryAccessError as exc:
             load.exception = exc
             return "memory", 0, 1
+        value = self._decode_load_value(load, memory.data[addr:addr + size])
         return "memory", value, delay
 
     @staticmethod
@@ -406,10 +416,18 @@ class Cpu:
     def _drain_store(self, entry: StoreBufferEntry) -> None:
         """Perform the architectural store at commit; model drain timing."""
         simcode = entry.simcode
+        memory = self.memory
+        data = entry.data
         try:
-            delay, tx = self.memmodel.store(
-                entry.address, entry.data, self.cycle, simcode.id)
-            simcode.transaction = tx
+            if self.cache is not None:
+                delay = self.cache.access(entry.address, len(data), True,
+                                          self.cycle)[0]
+                memory.write_bytes(entry.address, data)
+            else:
+                memory.write_bytes(entry.address, data)
+                delay = memory.store_latency
+                memory.store_count += 1
+                memory.bytes_written += len(data)
             simcode.mem_delay = delay
         except MemoryAccessError as exc:
             # surfaced at commit (we are at commit): record + optional halt
@@ -419,7 +437,9 @@ class Cpu:
                 self.committed_exception = exc
                 self.halted = f"exception: {exc}"
         entry.committed = True
-        entry.drain_until = self.cycle + max(1, delay)
+        entry.drain_until = until = self.cycle + max(1, delay)
+        if until < self._drain_at:
+            self._drain_at = until
         simcode.sver += 1
         self.v_storeb += 1
 
@@ -436,7 +456,6 @@ class Cpu:
         else:
             result = None
             assignments = []
-        simcode.assignments = assignments
 
         if dop.fu_kind == "LS":
             simcode.address = int(result) & 0xFFFFFFFF if result is not None else 0
@@ -727,6 +746,8 @@ class Cpu:
         self.load_buffer[:] = graph["load_buffer"]
         self.store_buffer = list(graph["store_buffer"])
         self._store_by_id = {e.simcode.id: e for e in self.store_buffer}
+        self._drain_at = min((e.drain_until for e in self.store_buffer
+                              if e.committed), default=NEVER)
         self._tag_waiters = {tag: list(w)
                              for tag, w in graph["tag_waiters"].items()}
         for fu, (simcode, busy_until, busy_cycles, inflight, last_issue) \

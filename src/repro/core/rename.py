@@ -15,7 +15,8 @@ sufficient).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from collections import deque
+from typing import Deque, Dict, List, Optional, Union
 
 from repro.isa.registers import RegisterFile
 
@@ -42,7 +43,9 @@ class RenameFile:
         self.size = size
         self.arch = arch_file
         self.entries: List[RenameEntry] = [RenameEntry(t) for t in range(size)]
-        self._free: List[int] = list(range(size))
+        #: free tags in allocation order; identity-stable (flush and
+        #: restore refill it in place), so the step loop may hoist it
+        self._free: Deque[int] = deque(range(size))
         #: RAT: architectural register name -> newest speculative tag
         self.rat: Dict[str, int] = {}
         #: dirty counter (see repro.sim.state): bumped on every mutation
@@ -61,7 +64,7 @@ class RenameFile:
         """
         if not self._free:
             return None
-        tag = self._free.pop(0)
+        tag = self._free.popleft()
         entry = self.entries[tag]
         entry.arch = arch_reg
         entry.value = 0
@@ -116,7 +119,7 @@ class RenameFile:
     def flush(self) -> None:
         """Squash all speculative state (pipeline flush)."""
         self.rat.clear()
-        self._free = []
+        self._free.clear()
         for entry in self.entries:
             entry.busy = False
             entry.valid = False
@@ -134,11 +137,11 @@ class RenameFile:
 
     def _release(self, tag: int) -> None:
         entry = self.entries[tag]
+        if entry.busy:          # a busy tag is never on the free list
+            self._free.append(tag)
         entry.busy = False
         entry.valid = False
         entry.arch = None
-        if tag not in self._free:
-            self._free.append(tag)
 
     # ------------------------------------------------------------------
     def renamed_copies(self, arch_reg: str) -> List[int]:
@@ -173,6 +176,7 @@ class RenameFile:
             entry.value = value
             entry.valid = valid
             entry.busy = busy
-        self._free = list(state["free"])
+        self._free.clear()
+        self._free.extend(state["free"])
         self.rat = dict(state["rat"])
         self.version += 1

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Optional, Tuple
 
 from repro.asm.program import ParsedInstruction
 from repro.errors import SimulationException
@@ -53,6 +54,13 @@ class SimCode:
 
     squashed = False
     exception: Optional[SimulationException] = None
+    # operand capture, written at dispatch: captured source values by
+    # argument name, the rename tag of each source that was not ready
+    # (in source order), and how many of those are still not ready.
+    # ``operands`` / ``renamed_sources`` are derived from these.
+    op_values = MappingProxyType({})
+    src_tags: Optional[Dict[str, int]] = None
+    waiting = 0
     # renaming
     dest_arch: Optional[str] = None
     dest_tag: Optional[int] = None
@@ -69,7 +77,6 @@ class SimCode:
     address: Optional[int] = None
     mem_delay: Optional[int] = None
     store_data: Optional[bytes] = None
-    transaction = None
     # execution bookkeeping
     fu_name: Optional[str] = None
     finish_cycle: Optional[int] = None
@@ -82,15 +89,8 @@ class SimCode:
             from repro.core.decoded import DecodedOp
             dop = DecodedOp(instruction)
         self.dop = dop
-        self.pc = instruction.pc
+        self.pc = dop.pc
         self.timestamps: Dict[str, int] = {}
-        self.renamed_sources: Dict[str, str] = {}   # arg -> "t3" / "arch"
-        #: operand capture: arg name -> ('val', value) | ('tag', tag),
-        #: with fast-path mirrors for captured values / unresolved tags
-        self.operands: Dict[str, Tuple[str, object]] = {}
-        self.op_values: Dict[str, object] = {}
-        self.pending_tags: Dict[str, int] = {}
-        self.assignments: List[Tuple[str, object]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -109,9 +109,28 @@ class SimCode:
 
     # ------------------------------------------------------------------
     @property
+    def operands(self) -> Dict[str, Tuple[str, object]]:
+        """Operand capture by argument name, in source order: ``('val',
+        value)`` or ``('tag', tag)``; empty before dispatch."""
+        values = self.op_values
+        tags = self.src_tags or {}
+        out: Dict[str, Tuple[str, object]] = {}
+        for name, _kind, _payload, _index in self.dop.sources:
+            if name in values:
+                out[name] = ("val", values[name])
+            elif name in tags:
+                out[name] = ("tag", tags[name])
+        return out
+
+    @property
+    def renamed_sources(self) -> Dict[str, str]:
+        """Sources that were renamed at dispatch: arg name -> ``"tN"``."""
+        return {name: f"t{tag}" for name, tag in (self.src_tags or {}).items()}
+
+    @property
     def operands_ready(self) -> bool:
         """All source operands have captured values."""
-        return all(kind == "val" for kind, _ in self.operands.values())
+        return not self.waiting
 
     def operand_value(self, name: str):
         kind, value = self.operands[name]
@@ -156,7 +175,7 @@ class SimCode:
             "timestamps": dict(self.timestamps),
             "squashed": self.squashed,
             "exception": None if self.exception is None else str(self.exception),
-            "renamedSources": dict(self.renamed_sources),
+            "renamedSources": self.renamed_sources,
             "destArch": self.dest_arch,
             "destTag": self.dest_tag,
             "operands": {

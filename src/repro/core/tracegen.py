@@ -24,12 +24,13 @@ Identity-stability rules for what generated code may hoist into locals
 
 * Stable for the lifetime of a ``Cpu`` (restore mutates them in place):
   ``fetch_buffer``, ``rob``, window lists, ``load_queue``,
-  ``load_buffer``, ``rename``/``rename.entries``, ``arch_regs``,
-  ``predictor``, FU runtime objects, ``windows`` dict, ``decoded``.
+  ``load_buffer``, ``rename``/``rename.entries``/``rename._free``,
+  ``arch_regs``, ``predictor``, FU runtime objects, ``windows`` dict,
+  ``decoded``.
 * Rebound during a run (attribute access required everywhere):
   ``cpu.store_buffer``, ``cpu._store_by_id`` (rebuilt by squash/drain),
-  ``rename._free`` (rebuilt by flush), ``predictor._spec_local``
-  (rebound by ``on_flush``).
+  ``cpu._drain_at``, ``predictor._spec_local`` (rebound by
+  ``on_flush``).
 * Rebound by ``restore_state`` between runs (safe to hoist per call):
   ``cpu._tag_waiters``, ``rename.rat``, ``cpu.log``,
   ``cpu.dispatch_stalls``, ``committed_by_type`` /
@@ -48,7 +49,7 @@ from operator import attrgetter
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional
 
-from repro.core.pipeline import StoreBufferEntry
+from repro.core.pipeline import NEVER, StoreBufferEntry
 from repro.core.simcode import SimCode
 from repro.errors import SimulationException
 from repro.isa.bits import float32_round
@@ -214,10 +215,10 @@ def _wake_lines(value_expr: str, indent: str) -> List[str]:
         f"{indent}if waiters:",
         f"{indent}    cpu.v_rob += 1",
         f"{indent}    cpu.v_windows += 1",
+        f"{indent}    v = {value_expr}",
         f"{indent}    for wsc, wname in waiters:",
-        f"{indent}        wsc.operands[wname] = ('val', {value_expr})",
-        f"{indent}        wsc.op_values[wname] = {value_expr}",
-        f"{indent}        wsc.pending_tags.pop(wname, None)",
+        f"{indent}        wsc.op_values[wname] = v",
+        f"{indent}        wsc.waiting -= 1",
         f"{indent}        wsc.sver += 1",
     ]
 
@@ -297,12 +298,11 @@ def _emit_commit(config) -> List[str]:
         "                        arch_regs.version += 1",
         "                    if rat.get(arch) == tag:",
         "                        del rat[arch]",
+        "                if e.busy:",
+        "                    free_tags.append(tag)",
         "                e.busy = False",
         "                e.valid = False",
         "                e.arch = None",
-        "                fr = rename._free",
-        "                if tag not in fr:",
-        "                    fr.append(tag)",
         "                nt += 1",
         "            if dop.is_halt:",
         "                cpu.halted = (\"halt instruction '\" + dop.mnemonic"
@@ -331,23 +331,23 @@ def _emit_commit(config) -> List[str]:
 
 def _emit_memory(cpu) -> List[str]:
     lines = [
-        "        sb = cpu.store_buffer",
-        "        if sb:",
-        "            drained = False",
-        "            for e in sb:",
-        "                if e.committed and 0 <= e.drain_until <= cycle:",
-        "                    drained = True",
-        "                    break",
-        "            if drained:",
-        "                kept = []",
-        "                sbid = cpu._store_by_id",
-        "                for e in sb:",
-        "                    if e.committed and 0 <= e.drain_until <= cycle:",
+        # drop the drained stores once the earliest drain is due
+        "        if cpu._drain_at <= cycle:",
+        "            kept = []",
+        "            sbid = cpu._store_by_id",
+        "            nxt = NEVER",
+        "            for e in cpu.store_buffer:",
+        "                if e.committed:",
+        "                    d = e.drain_until",
+        "                    if d <= cycle:",
         "                        sbid.pop(e.simcode.id, None)",
-        "                    else:",
-        "                        kept.append(e)",
-        "                cpu.store_buffer = kept",
-        "                cpu.v_storeb += 1",
+        "                        continue",
+        "                    if d < nxt:",
+        "                        nxt = d",
+        "                kept.append(e)",
+        "            cpu.store_buffer = kept",
+        "            cpu._drain_at = nxt",
+        "            cpu.v_storeb += 1",
     ]
     for i, unit in enumerate(cpu.memory_units):
         u = f"m{i}"
@@ -477,6 +477,30 @@ def _start_lines(pipelined: Optional[bool], indent: str) -> List[str]:
             for line in ["unit.last_issue_cycle = cycle", *body]]
 
 
+def _eval_lines(kind: str, indent: str) -> List[str]:
+    """Compute the result of ``sc`` as it issues.  FX and FP ops run their
+    fused ``dop.compute`` here (``Cpu._evaluate``'s FX/FP path, inlined);
+    other ops, and ops without one, call ``evaluate``."""
+    call = ["try:",
+            "    evaluate(sc)",
+            "except SimulationException as exc:",
+            "    sc.exception = exc"]
+    if kind in ("FX", "FP"):
+        call = ["fn = dop.compute",
+                "if fn is None:",
+                *["    " + line for line in call],
+                "else:",
+                "    try:",
+                "        res, fault = fn(sc.op_values, dop.pc)",
+                "    except SimulationException as exc:",
+                "        sc.exception = exc",
+                "    else:",
+                "        sc.result = res",
+                "        if fault is not None:",
+                "            sc.exception = fault"]
+    return [indent + line for line in call]
+
+
 def _uniform_issue_kinds(cpu) -> Dict[str, List[int]]:
     """Window kinds whose units all share one spec -> their fu indices."""
     result: Dict[str, List[int]] = {}
@@ -514,7 +538,7 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
         f"            if {guard}:",
         "                issued = None",
         f"                for sc in {w}:",
-        "                    if sc.pending_tags:",
+        "                    if sc.waiting:",
         "                        continue",
         "                    dop = sc.dop",
     ]
@@ -547,10 +571,7 @@ def _emit_issue_uniform(cpu, kind, indices) -> List[str]:
         *_start_lines(first.pipelined, "                    "),
         "                    sc.finish_cycle = finish",
         "                    sc.sver += 1",
-        "                    try:",
-        "                        evaluate(sc)",
-        "                    except SimulationException as exc:",
-        "                        sc.exception = exc",
+        *_eval_lines(kind, "                    "),
         f"                    if {all_busy}:",
         "                        break",
         "                if issued is not None:",
@@ -590,7 +611,7 @@ def _emit_issue(cpu) -> List[str]:
             "            if free:",
             "                issued = None",
             f"                for sc in {w}:",
-            "                    if sc.pending_tags:",
+            "                    if sc.waiting:",
             "                        continue",
             "                    dop = sc.dop",
             "                    op_class = dop.op_class",
@@ -618,10 +639,7 @@ def _emit_issue(cpu) -> List[str]:
             "                    cpu.v_rob += 1",
             "                    sc.finish_cycle = finish",
             "                    sc.sver += 1",
-            "                    try:",
-            "                        evaluate(sc)",
-            "                    except SimulationException as exc:",
-            "                        sc.exception = exc",
+            *_eval_lines(kind, "                    "),
             "                    if not free:",
             "                        break",
             "                if issued is not None:",
@@ -662,35 +680,50 @@ def _emit_dispatch(config) -> List[str]:
         "                stalls['storeBufferFull'] += 1",
         "                break",
         "            needs_tag = dop.needs_tag",
-        "            if needs_tag and not rename._free:",
+        "            if needs_tag and not free_tags:",
         "                stalls['renameFull'] += 1",
         "                break",
         "            fetch_buffer.popleft()",
         "            cpu.v_front += 1",
-        "            operands = sc.operands",
-        "            op_values = sc.op_values",
-        "            for name, skind, payload in dop.sources:",
-        "                if skind == 1:",
-        "                    resolved = read_source(payload)",
-        "                    operands[name] = resolved",
-        "                    if resolved[0] == 'tag':",
-        "                        tag = resolved[1]",
-        "                        sc.renamed_sources[name] = 't%d' % tag",
-        "                        sc.pending_tags[name] = tag",
-        "                        waiters = tag_waiters.get(tag)",
-        "                        if waiters is None:",
-        "                            tag_waiters[tag] = [(sc, name)]",
-        "                        else:",
-        "                            waiters.append((sc, name))",
-        "                    else:",
-        "                        op_values[name] = resolved[1]",
+        # RenameFile.read_source per register source, then allocate for
+        # the destination, inlined; register indices come pre-resolved
+        "            values = dop.imm_values.copy()",
+        "            st = None",
+        "            waiting = 0",
+        "            for name, skind, reg, index in dop.reg_sources:",
+        "                tag = rat.get(reg)",
+        "                if tag is None:",
+        "                    values[name] = (arch_int[index] if skind == 1",
+        "                                    else arch_fp[index])",
+        "                    continue",
+        "                e = entries[tag]",
+        "                if e.valid:",
+        "                    values[name] = e.value",
+        "                    continue",
+        "                if st is None:",
+        "                    st = sc.src_tags = {}",
+        "                st[name] = tag",
+        "                waiting += 1",
+        "                waiters = tag_waiters.get(tag)",
+        "                if waiters is None:",
+        "                    tag_waiters[tag] = [(sc, name)]",
         "                else:",
-        "                    operands[name] = ('val', payload)",
-        "                    op_values[name] = payload",
+        "                    waiters.append((sc, name))",
+        "            sc.op_values = values",
+        "            if waiting:",
+        "                sc.waiting = waiting",
         "            if dop.has_dest:",
-        "                sc.dest_arch = dop.dest_arch",
+        "                sc.dest_arch = arch = dop.dest_arch",
         "                if needs_tag:",
-        "                    sc.dest_tag = rename.allocate(dop.dest_arch)",
+        "                    tag = free_tags.popleft()",
+        "                    e = entries[tag]",
+        "                    e.arch = arch",
+        "                    e.value = 0",
+        "                    e.valid = False",
+        "                    e.busy = True",
+        "                    rat[arch] = tag",
+        "                    rename.version += 1",
+        "                    sc.dest_tag = tag",
         "            if dop.is_load:",
         "                load_buffer.append(sc)",
         "            if dop.is_store:",
@@ -821,7 +854,7 @@ def build_step_source(cpu, probed: bool = False) -> str:
         "    arch_regs = rename.arch",
         "    arch_int = arch_regs._int",
         "    arch_fp = arch_regs._fp",
-        "    read_source = rename.read_source",
+        "    free_tags = rename._free",
         "    tag_waiters = cpu._tag_waiters",
         "    predictor = cpu.predictor",
         # PHT / BTB arrays are rebound only by between-run restores;
@@ -938,6 +971,7 @@ def compile_step(cpu, probe: Optional[Callable[[int], None]] = None
         "insort": insort,
         "_skey": attrgetter("id"),
         "SimulationException": SimulationException,
+        "NEVER": NEVER,
         "reg_int": _REG_INT,
         "fp_idx": _FP_IDX,
         "f32r": float32_round,

@@ -98,15 +98,6 @@ class _ExcCell:
         self.exception = None
 
 
-def _fast_get(values: Dict[str, Number], name: str) -> Number:
-    """Argument lookup for the fused fast path (same error contract as
-    :meth:`EvalContext.get`)."""
-    try:
-        return values[name]
-    except KeyError:
-        raise ExpressionError(f"unbound expression argument '\\{name}'") from None
-
-
 def _div(ctx: EvalContext, a: int, b: int) -> int:
     if b == 0:
         ctx.exception = DivisionByZeroError("integer division by zero", pc=ctx.pc)
@@ -347,7 +338,7 @@ class Expression:
     every dynamic instance.
     """
 
-    __slots__ = ("source", "_tokens", "_fn", "_fast")
+    __slots__ = ("source", "_tokens", "_fn", "_fast", "_results")
 
     _cache: Dict[str, "Expression"] = {}
 
@@ -356,6 +347,18 @@ class Expression:
         self._tokens = self._compile(source)
         self._fn = self._codegen(source, self._tokens)
         self._fast = self._codegen_fast(source, self._tokens)
+        self._results: Dict[Optional[str], Optional[Callable]] = {}
+
+    def result_fn(self, dest: Optional[str]) -> Optional[Callable]:
+        """:meth:`eval_fast` narrowed to the value a unit writes back:
+        ``(values, pc) -> (value, exception)``, where *value* is the last
+        assignment to *dest* or, when there is none (or *dest* is
+        ``None``), the value left on the stack.  No assignment list is
+        built.  ``None`` for malformed shapes (use :meth:`eval_fast`)."""
+        if dest not in self._results:
+            self._results[dest] = self._codegen_fast(
+                self.source, self._tokens, dest)
+        return self._results[dest]
 
     @classmethod
     def compile(cls, source: str) -> "Expression":
@@ -463,7 +466,8 @@ class Expression:
         return env["_compiled"]
 
     @staticmethod
-    def _codegen_fast(source: str, tokens: list) -> Optional[Callable]:
+    def _codegen_fast(source: str, tokens: list,
+                      dest: object = False) -> Optional[Callable]:
         """Fused variant of :meth:`_codegen`: no :class:`EvalContext`.
 
         The generated function has signature ``(values, pc) -> (result,
@@ -481,10 +485,15 @@ class Expression:
           remainder) is present, else operators receive ``None``;
         * the assignment list is allocated only when ``=`` occurs.
 
+        A missing argument raises the interpreter's :class:`ExpressionError`
+        from one ``KeyError`` handler around the body, not from a call per
+        read.  With a *dest* (see :meth:`result_fn`) the function returns
+        ``(value, exception)`` and keeps no assignment list.
+
         Returns ``None`` for malformed shapes; those keep falling back to
         the interpreter, which raises the matching :class:`ExpressionError`.
         """
-        env: Dict[str, object] = {"_getv": _fast_get, "_Exc": _ExcCell,
+        env: Dict[str, object] = {"_Err": ExpressionError, "_Exc": _ExcCell,
                                   "_f32r": float32_round}
         lines: List[str] = []
         stack: List[Tuple[str, str]] = []
@@ -494,7 +503,8 @@ class Expression:
         needs_exc = any(kind in ("ib", "iu", "fb", "fu")
                         and payload in _CTX_USERS
                         for kind, payload in tokens)
-        has_assign = any(kind == "assign" for kind, _ in tokens)
+        has_assign = dest is False and any(kind == "assign"
+                                           for kind, _ in tokens)
 
         def resolve(slot: Tuple[str, str]) -> str:
             kind, payload = slot
@@ -504,7 +514,7 @@ class Expression:
                 return "_pc"
             if payload in assigned:
                 return assigned[payload]
-            return f"_getv(_values, {payload!r})"
+            return f"_values[{payload!r}]"
 
         for kind, payload in tokens:
             if kind == "ref":
@@ -521,7 +531,8 @@ class Expression:
                 var = f"_a{temp}"
                 temp += 1
                 lines.append(f"{var} = {value}")
-                lines.append(f"_asg.append(({target!r}, {var}))")
+                if has_assign:
+                    lines.append(f"_asg.append(({target!r}, {var}))")
                 if target != "pc":   # \pc reads always resolve to the pc
                     assigned[target] = var
             else:
@@ -561,16 +572,22 @@ class Expression:
                 stack.append(("val", name))
 
         result = resolve(stack[-1]) if stack else "None"
-        asg = "_asg" if has_assign else "()"
         exc = "_exc.exception" if needs_exc else "None"
-        lines.append(f"return ({result}, {asg}, {exc})")
+        if dest is False:
+            asg = "_asg" if has_assign else "()"
+            lines.append(f"return ({result}, {asg}, {exc})")
+        else:
+            lines.append(f"return ({assigned.get(dest, result)}, {exc})")
         prologue = ""
         if needs_exc:
             prologue += "    _exc = _Exc(_pc)\n"
         if has_assign:
             prologue += "    _asg = []\n"
-        body = "".join(f"    {line}\n" for line in lines)
-        code = "def _fused(_values, _pc):\n" + prologue + body
+        body = "".join(f"        {line}\n" for line in lines)
+        code = ("def _fused(_values, _pc):\n" + prologue + "    try:\n"
+                + body + "    except KeyError as _missing:\n"
+                "        raise _Err('unbound expression argument '\n"
+                "                   f\"'\\\\{_missing.args[0]}'\") from None\n")
         exec(compile(code, f"<fused expression {source!r}>", "exec"), env)
         return env["_fused"]
 

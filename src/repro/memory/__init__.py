@@ -17,7 +17,6 @@ from repro.memory.replacement import (
     make_policy,
 )
 from repro.memory.cache import Cache, CacheConfig, CacheStats
-from repro.memory.hierarchy import MemoryModel
 from repro.memory.layout import MemoryLocation, export_csv, import_csv
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "CacheStats",
-    "MemoryModel",
     "MemoryLocation",
     "export_csv",
     "import_csv",

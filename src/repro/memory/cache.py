@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.memory.main_memory import MainMemory
 from repro.memory.replacement import ReplacementPolicy, make_policy
-from repro.memory.transaction import MemoryTransaction
 
 
 @dataclass
@@ -148,6 +147,7 @@ class Cache:
         self.ways = config.associativity
         self._offset_bits = config.line_size.bit_length() - 1
         self._index_mask = self.sets - 1
+        self._index_bits = self._index_mask.bit_length()
         self._lines: List[List[_Line]] = [
             [_Line() for _ in range(self.ways)] for _ in range(self.sets)]
         self._policies: List[ReplacementPolicy] = [
@@ -171,22 +171,44 @@ class Cache:
         return None
 
     # ------------------------------------------------------------------
-    def access(self, address: int, size: int, is_store: bool, cycle: int,
-               instruction_id: int = -1) -> Tuple[int, bool, List[MemoryTransaction]]:
-        """Access [address, address+size); returns (delay, hit, transactions).
+    def access(self, address: int, size: int, is_store: bool,
+               cycle: int) -> Tuple[int, bool]:
+        """Access [address, address+size); returns (delay, hit).
 
         An access touching several lines (unaligned / line-crossing) probes
         each; the reported delay is the sum of per-line costs and the access
         counts once (hit only if every line hits).
         """
-        self.memory.check_range(address, size)
+        memory = self.memory
+        if address < 0 or address + size > memory.capacity:
+            memory.check_range(address, size)
         cfg = self.config
         first_line = address >> self._offset_bits
+        if (cfg.write_back or not is_store) and \
+                (address + size - 1) >> self._offset_bits == first_line:
+            # one-line access: a hit costs one probe and the counters
+            set_index = first_line & self._index_mask
+            tag = first_line >> self._index_bits
+            for way, line in enumerate(self._lines[set_index]):
+                if line.valid and line.tag == tag:
+                    self._policies[set_index].touch(way)
+                    stats = self.stats
+                    stats.accesses += 1
+                    stats.hits += 1
+                    if is_store:
+                        if not line.dirty:
+                            line.dirty = True
+                            self.version += 1
+                        stats.store_accesses += 1
+                        stats.store_hits += 1
+                    else:
+                        stats.load_accesses += 1
+                        stats.load_hits += 1
+                    return cfg.access_delay, True
         last_line = (address + size - 1) >> self._offset_bits
         delay = cfg.access_delay
         all_hit = True
-        transactions: List[MemoryTransaction] = []
-        index_bits = self._index_mask.bit_length()
+        index_bits = self._index_bits
 
         for line_addr in range(first_line, last_line + 1):
             set_index = line_addr & self._index_mask
@@ -209,7 +231,7 @@ class Cache:
                                    | set_index) << self._offset_bits
                     delay += self.next_level.writeback_cost(
                         min(victim_addr, self.memory.capacity - cfg.line_size),
-                        cfg.line_size, cycle, instruction_id)
+                        cfg.line_size, cycle)
                 if line.valid:
                     self.stats.evictions += 1
                 line.valid = True
@@ -221,7 +243,7 @@ class Cache:
                 delay += self.next_level.fill_cost(
                     min(line_addr << self._offset_bits,
                         self.memory.capacity - cfg.line_size),
-                    cfg.line_size, cycle, instruction_id)
+                    cfg.line_size, cycle)
             if is_store and cfg.write_back and not line.dirty:
                 line.dirty = True
                 self.version += 1
@@ -231,8 +253,7 @@ class Cache:
             # line: a line-crossing store still pushes `size` bytes.
             self.stats.bytes_written += size
             delay += self.next_level.writeback_cost(
-                min(address, self.memory.capacity - size), size, cycle,
-                instruction_id)
+                min(address, self.memory.capacity - size), size, cycle)
 
         self.stats.accesses += 1
         if all_hit:
@@ -247,20 +268,14 @@ class Cache:
             self.stats.load_accesses += 1
             if all_hit:
                 self.stats.load_hits += 1
-        return delay, all_hit, transactions
+        return delay, all_hit
 
     # -- next-level interface (so caches chain: L1 -> L2 -> memory) --------
-    def fill_cost(self, address: int, size: int, cycle: int,
-                  instruction_id: int = -1) -> int:
-        delay, _hit, _txs = self.access(address, size, False, cycle,
-                                        instruction_id)
-        return delay
+    def fill_cost(self, address: int, size: int, cycle: int) -> int:
+        return self.access(address, size, False, cycle)[0]
 
-    def writeback_cost(self, address: int, size: int, cycle: int,
-                       instruction_id: int = -1) -> int:
-        delay, _hit, _txs = self.access(address, size, True, cycle,
-                                        instruction_id)
-        return delay
+    def writeback_cost(self, address: int, size: int, cycle: int) -> int:
+        return self.access(address, size, True, cycle)[0]
 
     # ------------------------------------------------------------------
     def probe(self, address: int) -> bool:

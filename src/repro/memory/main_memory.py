@@ -84,11 +84,16 @@ class MainMemory:
         return bytes(self.data[address:address + size])
 
     def write_bytes(self, address: int, payload: bytes) -> None:
-        self.check_range(address, len(payload))
-        self.data[address:address + len(payload)] = payload
+        size = len(payload)
+        self.check_range(address, size)
+        self.data[address:address + size] = payload
         self.version += 1
-        if payload:
-            self._dirty_range(address, len(payload))
+        if size:
+            page = address >> _PAGE_SHIFT
+            if (address + size - 1) >> _PAGE_SHIFT == page:
+                self._page_versions[page] += 1
+            else:
+                self._dirty_range(address, size)
 
     def read_int(self, address: int, size: int, signed: bool = True) -> int:
         raw = self.read_bytes(address, size)
@@ -131,21 +136,18 @@ class MainMemory:
         return tx
 
     # -- next-level interface (used by caches to charge miss traffic) ------
-    def fill_cost(self, address: int, size: int, cycle: int,
-                  instruction_id: int = -1) -> int:
+    def fill_cost(self, address: int, size: int, cycle: int) -> int:
         """Cost of fetching *size* bytes (a cache line fill)."""
-        tx = MemoryTransaction(address=address, size=size, is_store=False,
-                               instruction_id=instruction_id)
-        self.register(tx, cycle)
+        self.check_range(address, size)
+        self.load_count += 1
+        self.bytes_read += size
         return self.load_latency
 
-    def writeback_cost(self, address: int, size: int, cycle: int,
-                       instruction_id: int = -1) -> int:
+    def writeback_cost(self, address: int, size: int, cycle: int) -> int:
         """Cost of writing *size* bytes back (eviction / write-through)."""
-        tx = MemoryTransaction(address=address, size=size, is_store=True,
-                               is_line_flush=True,
-                               instruction_id=instruction_id)
-        self.register(tx, cycle)
+        self.check_range(address, size)
+        self.store_count += 1
+        self.bytes_written += size
         return self.store_latency
 
     # -- lifecycle --------------------------------------------------------

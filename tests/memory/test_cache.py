@@ -46,8 +46,8 @@ class TestConfigValidation:
 class TestHitMiss:
     def test_cold_miss_then_hit(self):
         cache = make_cache()
-        delay1, hit1, _ = cache.access(0x100, 4, False, 0)
-        delay2, hit2, _ = cache.access(0x104, 4, False, 1)
+        delay1, hit1 = cache.access(0x100, 4, False, 0)
+        delay2, hit2 = cache.access(0x104, 4, False, 1)
         assert not hit1 and hit2
         assert delay1 > delay2
         assert delay2 == 1  # pure access delay on a hit
@@ -56,20 +56,20 @@ class TestHitMiss:
         cache = make_cache(line_size=16)
         cache.access(0x200, 4, False, 0)
         for offset in (4, 8, 12):
-            _, hit, _ = cache.access(0x200 + offset, 4, False, 1)
+            _, hit = cache.access(0x200 + offset, 4, False, 1)
             assert hit
 
     def test_line_crossing_access_probes_both_lines(self):
         cache = make_cache(line_size=16)
-        _, hit, _ = cache.access(0x10E, 4, False, 0)  # spans two lines
+        _, hit = cache.access(0x10E, 4, False, 0)  # spans two lines
         assert not hit
-        _, hit1, _ = cache.access(0x100, 4, False, 1)
-        _, hit2, _ = cache.access(0x110, 4, False, 2)
+        _, hit1 = cache.access(0x100, 4, False, 1)
+        _, hit2 = cache.access(0x110, 4, False, 2)
         assert hit1 and hit2
 
     def test_miss_delay_includes_replacement_and_memory(self):
         cache = make_cache(access_delay=1, line_replacement_delay=10)
-        delay, _, _ = cache.access(0, 4, False, 0)
+        delay, _ = cache.access(0, 4, False, 0)
         assert delay == 1 + 10 + 5  # access + replacement + memory load
 
     def test_set_conflict_eviction(self):
@@ -79,7 +79,7 @@ class TestHitMiss:
         cache.access(0 * stride, 4, False, 0)
         cache.access(1 * stride, 4, False, 1)
         cache.access(2 * stride, 4, False, 2)   # evicts LRU (line 0)
-        _, hit, _ = cache.access(0, 4, False, 3)
+        _, hit = cache.access(0, 4, False, 3)
         assert not hit
         assert cache.stats.evictions >= 1
 
@@ -119,7 +119,7 @@ class TestReplacementPolicies:
                                line_count=4, associativity=4, line_size=16)
             hits = []
             for i in range(50):
-                _, hit, _ = cache.access((i * 37 % 16) * 16, 4, False, i)
+                _, hit = cache.access((i * 37 % 16) * 16, 4, False, i)
                 hits.append(hit)
             return hits
         assert trace(1) == trace(1)     # deterministic (backward simulation)
@@ -165,14 +165,14 @@ class TestWriteModes:
     def test_write_through_store_hit_costs_memory_latency(self):
         cache = make_cache(write_back=False, access_delay=1)
         cache.access(0x00, 4, False, 0)        # fill
-        delay, hit, _ = cache.access(0x00, 4, True, 1)
+        delay, hit = cache.access(0x00, 4, True, 1)
         assert hit
         assert delay == 1 + 5                  # access + memory store
 
     def test_write_back_store_hit_is_cheap(self):
         cache = make_cache(write_back=True, access_delay=1)
         cache.access(0x00, 4, False, 0)
-        delay, hit, _ = cache.access(0x00, 4, True, 1)
+        delay, hit = cache.access(0x00, 4, True, 1)
         assert hit and delay == 1
 
     def test_flush_clears_dirty(self):
@@ -243,6 +243,6 @@ class TestAgainstReferenceModel:
                            replacement_policy="LRU")
         reference = _ReferenceCache(sets=4, ways=2, line_size=16)
         for i, addr in enumerate(addresses):
-            _, hit, _ = cache.access(addr, 1, False, i)
+            _, hit = cache.access(addr, 1, False, i)
             assert hit == reference.access(addr), \
                 f"divergence at access {i} (addr {addr})"
