@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import List
 
 from repro.errors import AsmSyntaxError
@@ -30,23 +29,36 @@ class TokenKind(str, enum.Enum):
     PERCENT_FUNC = "percent"   # %hi / %lo
 
 
-@dataclass(frozen=True)
+(LABEL_DEF, DIRECTIVE, SYMBOL, INTEGER, FLOAT, STRING, COMMA, LPAREN, RPAREN,
+ OPERATOR, PERCENT_FUNC) = TokenKind
+
+
 class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
-    value: object = None
+    """One lexical unit with its 1-based source position (treat as
+    immutable; a plain slotted class because the assembler builds one per
+    token and a frozen dataclass costs four times as much to construct)."""
+
+    __slots__ = ("kind", "text", "line", "column", "value")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int,
+                 value: object = None):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind.value}({self.text!r})"
 
 
-# Order matters: longest / most specific first.
+# Order matters: longest / most specific first.  Leading whitespace is
+# folded into every match, so a token costs one match and a line with no
+# more tokens leaves only whitespace (or a bad character) behind.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>(\#|//).*)
+    \s*(?:
+    (?P<comment>(\#|//).*)
   | (?P<string>"(\\.|[^"\\])*")
   | (?P<char>'(\\.|[^'\\])')
   | (?P<percent>%(hi|lo)\b)
@@ -59,6 +71,7 @@ _TOKEN_RE = re.compile(
   | (?P<lparen>\()
   | (?P<rparen>\))
   | (?P<operator>[-+*/%])
+    )
     """,
     re.VERBOSE,
 )
@@ -97,46 +110,49 @@ def unescape_string(literal: str, line: int = 0, column: int = 0) -> str:
 def tokenize_line(text: str, line_no: int) -> List[Token]:
     """Tokenize one source line; comments and whitespace are discarded."""
     tokens: List[Token] = []
+    append = tokens.append
     pos = 0
-    # Strip block comments the simple way (they rarely span lines in
-    # assembler output; multi-line /* */ is handled by the caller).
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise AsmSyntaxError(
-                f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        kind = match.lastgroup
-        raw = match.group(0)
-        col = pos + 1
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            break                       # a character no token starts with
         pos = match.end()
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "string":
-            tokens.append(Token(TokenKind.STRING, raw, line_no, col,
-                                unescape_string(raw[1:-1], line_no, col)))
+        kind = match.lastgroup
+        start = match.start(kind)
+        raw = text[start:pos]
+        col = start + 1
+        if kind == "symbol":
+            append(Token(SYMBOL, raw, line_no, col, raw))
+        elif kind == "comma":
+            append(Token(COMMA, raw, line_no, col))
+        elif kind == "integer":
+            append(Token(INTEGER, raw, line_no, col, int(raw, 0)))
+        elif kind == "lparen":
+            append(Token(LPAREN, raw, line_no, col))
+        elif kind == "rparen":
+            append(Token(RPAREN, raw, line_no, col))
+        elif kind == "comment":
+            return tokens
+        elif kind == "labeldef":
+            append(Token(LABEL_DEF, raw, line_no, col, raw[:-1]))
+        elif kind == "directive":
+            append(Token(DIRECTIVE, raw, line_no, col, raw))
+        elif kind == "operator":
+            append(Token(OPERATOR, raw, line_no, col))
+        elif kind == "percent":
+            append(Token(PERCENT_FUNC, raw, line_no, col, raw[1:]))
+        elif kind == "string":
+            append(Token(STRING, raw, line_no, col,
+                         unescape_string(raw[1:-1], line_no, col)))
         elif kind == "char":
             decoded = unescape_string(raw[1:-1], line_no, col)
-            tokens.append(Token(TokenKind.INTEGER, raw, line_no, col, ord(decoded)))
-        elif kind == "percent":
-            tokens.append(Token(TokenKind.PERCENT_FUNC, raw, line_no, col, raw[1:]))
-        elif kind == "labeldef":
-            tokens.append(Token(TokenKind.LABEL_DEF, raw, line_no, col, raw[:-1]))
-        elif kind == "directive":
-            tokens.append(Token(TokenKind.DIRECTIVE, raw, line_no, col, raw))
-        elif kind == "float":
-            tokens.append(Token(TokenKind.FLOAT, raw, line_no, col, float(raw)))
-        elif kind == "integer":
-            tokens.append(Token(TokenKind.INTEGER, raw, line_no, col, int(raw, 0)))
-        elif kind == "symbol":
-            tokens.append(Token(TokenKind.SYMBOL, raw, line_no, col, raw))
-        elif kind == "comma":
-            tokens.append(Token(TokenKind.COMMA, raw, line_no, col))
-        elif kind == "lparen":
-            tokens.append(Token(TokenKind.LPAREN, raw, line_no, col))
-        elif kind == "rparen":
-            tokens.append(Token(TokenKind.RPAREN, raw, line_no, col))
-        elif kind == "operator":
-            tokens.append(Token(TokenKind.OPERATOR, raw, line_no, col))
+            append(Token(INTEGER, raw, line_no, col, ord(decoded)))
+        else:
+            append(Token(FLOAT, raw, line_no, col, float(raw)))
+    rest = text[pos:]
+    if rest and not rest.isspace():
+        bad = pos + len(rest) - len(rest.lstrip())
+        raise AsmSyntaxError(f"unexpected character {text[bad]!r}",
+                             line_no, bad + 1)
     return tokens
 
 

@@ -17,11 +17,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.asm.exprs import evaluate_operand
 from repro.asm.lexer import Token, TokenKind, strip_block_comments, tokenize_line
 from repro.asm.program import DataSymbol, ParsedInstruction, Program
-from repro.asm.pseudo import expand_pseudo
+from repro.asm.pseudo import PSEUDO_MNEMONICS, expand_pseudo
 from repro.errors import AsmSyntaxError
 from repro.isa.instruction import ArgType, InstructionDef
 from repro.isa.isa import InstructionSet, default_instruction_set
-from repro.isa.registers import canonical_fp_reg, canonical_int_reg
+from repro.isa.registers import (
+    FP_REG_ALIASES, INT_REG_ALIASES, canonical_fp_reg, canonical_int_reg,
+)
 
 _DATA_DIRECTIVES = {
     ".byte": 1, ".hword": 2, ".half": 2, ".2byte": 2,
@@ -94,31 +96,39 @@ class Assembler:
         current_c_line = 0
 
         # ---------------- pass 1 -------------------------------------
+        # An instruction line seen before (compilers repeat lines like
+        # "lw t0, 8(sp)" often) reuses its pass-1 result.  Only its line
+        # number differs, and only token-derived pass-2 errors would show
+        # the shared tokens' line, which the first occurrence raises first.
+        seen: Dict[str, Tuple[Token, list]] = {}
         lines = strip_block_comments(source).split("\n")
         for line_no, line_text in enumerate(lines, start=1):
-            tokens = tokenize_line(line_text, line_no)
-            pos = 0
-            while pos < len(tokens) and tokens[pos].kind is TokenKind.LABEL_DEF:
-                pending_labels.append((tokens[pos].value, tokens[pos]))
-                pos += 1
-            if pos >= len(tokens):
-                continue
-            head = tokens[pos]
-            rest = tokens[pos + 1:]
+            hit = seen.get(line_text)
+            if hit is None:
+                tokens = tokenize_line(line_text, line_no)
+                pos = 0
+                while pos < len(tokens) and \
+                        tokens[pos].kind is TokenKind.LABEL_DEF:
+                    pending_labels.append((tokens[pos].value, tokens[pos]))
+                    pos += 1
+                if pos >= len(tokens):
+                    continue
+                head = tokens[pos]
+                rest = tokens[pos + 1:]
 
-            if head.kind is TokenKind.DIRECTIVE:
-                current_c_line = self._directive(
-                    head, rest, line_text,
-                    pending_labels, code_labels, data_labels,
-                    data_chunks, data_fixups, data_label_order, equs,
-                    current_c_line,
-                )
-                continue
+                if head.kind is TokenKind.DIRECTIVE:
+                    current_c_line = self._directive(
+                        head, rest, line_text,
+                        pending_labels, code_labels, data_labels,
+                        data_chunks, data_fixups, data_label_order, equs,
+                        current_c_line,
+                    )
+                    continue
 
-            if head.kind is not TokenKind.SYMBOL:
-                raise AsmSyntaxError(
-                    f"expected instruction or directive, found {head.text!r}",
-                    head.line, head.column)
+                if head.kind is not TokenKind.SYMBOL:
+                    raise AsmSyntaxError(
+                        f"expected instruction or directive, found {head.text!r}",
+                        head.line, head.column)
 
             # instruction: bind pending labels to the next code address
             for name, tok in pending_labels:
@@ -128,19 +138,25 @@ class Assembler:
                 code_labels[name] = len(raw_instrs) * 4
             pending_labels.clear()
 
-            groups = _split_operands(rest)
-            operand_strings = [_group_text(line_text, g) for g in groups]
-            expanded = expand_pseudo(head.value, operand_strings,
-                                     head.line, head.column)
-            for mnemonic, op_strs in expanded:
-                definition = self.iset.get(mnemonic)
-                if definition is None:
-                    raise AsmSyntaxError(
-                        f"unknown instruction '{mnemonic}'", head.line, head.column)
-                new_groups = [tokenize_line(s, head.line) for s in op_strs]
+            if hit is None:
+                expanded = []
+                for mnemonic, op_groups in _expand(
+                        head, _split_operands(rest), line_text):
+                    definition = self.iset.get(mnemonic)
+                    if definition is None:
+                        raise AsmSyntaxError(f"unknown instruction "
+                                             f"'{mnemonic}'",
+                                             head.line, head.column)
+                    expanded.append((definition, op_groups))
+                if pos == 0:
+                    seen[line_text] = (head, expanded)
+            else:
+                head, expanded = hit
+            text = line_text.strip()
+            for definition, op_groups in expanded:
                 raw_instrs.append(_RawInstruction(
-                    definition, new_groups, head.line, head.column,
-                    line_text.strip(), current_c_line))
+                    definition, op_groups, line_no, head.column, text,
+                    current_c_line))
 
         for name, tok in pending_labels:  # trailing labels bind past the end
             code_labels[name] = len(raw_instrs) * 4
@@ -336,7 +352,7 @@ class Assembler:
                     raw.line, raw.column)
             reg = _register_operand(groups[0], args[0])
             offset_tokens, base_reg = _split_mem_operand(groups[1])
-            imm_val = int(evaluate_operand(offset_tokens, labels)) if offset_tokens else 0
+            imm_val = _value_operand(offset_tokens, labels) if offset_tokens else 0
             base = _register_operand([base_reg], args[2]) if base_reg else "x0"
             self._check_imm_range(definition.name, imm_val, raw)
             return {args[0].name: reg, "imm": imm_val, "rs1": base}
@@ -346,7 +362,7 @@ class Assembler:
                 and any(t.kind is TokenKind.LPAREN for t in groups[1]):
             reg = _register_operand(groups[0], args[0])
             offset_tokens, base_reg = _split_mem_operand(groups[1])
-            imm_val = int(evaluate_operand(offset_tokens, labels)) if offset_tokens else 0
+            imm_val = _value_operand(offset_tokens, labels) if offset_tokens else 0
             base = _register_operand([base_reg], args[1]) if base_reg else "x0"
             return {"rd": reg, "rs1": base, "imm": imm_val}
 
@@ -360,12 +376,11 @@ class Assembler:
             if arg.is_register:
                 operands[arg.name] = _register_operand(group, arg)
             elif arg.type is ArgType.LABEL:
-                value = int(evaluate_operand(group, labels))
-                offset = value - pc
+                offset = _value_operand(group, labels) - pc
                 self._check_imm_range(definition.name, offset, raw, branch=True)
                 operands[arg.name] = offset
             else:
-                value = int(evaluate_operand(group, labels))
+                value = _value_operand(group, labels)
                 self._check_imm_range(definition.name, value, raw)
                 operands[arg.name] = value
         return operands
@@ -405,24 +420,60 @@ def _split_operands(tokens: List[Token]) -> List[List[Token]]:
     current: List[Token] = []
     depth = 0
     for tok in tokens:
-        if tok.kind is TokenKind.LPAREN:
-            depth += 1
-        elif tok.kind is TokenKind.RPAREN:
-            depth -= 1
-        if tok.kind is TokenKind.COMMA and depth == 0:
+        kind = tok.kind
+        if kind is TokenKind.COMMA and depth == 0:
+            if not current:
+                _reject_empty(tokens)
             groups.append(current)
             current = []
-        else:
-            current.append(tok)
-    if current or groups:
+            continue
+        if kind is TokenKind.LPAREN:
+            depth += 1
+        elif kind is TokenKind.RPAREN:
+            depth -= 1
+        current.append(tok)
+    if groups and not current:
+        _reject_empty(tokens)
+    if current:
         groups.append(current)
-    return [g for g in groups if g] if not any(not g for g in groups) else _reject_empty(groups, tokens)
+    return groups
 
 
-def _reject_empty(groups: List[List[Token]], tokens: List[Token]) -> List[List[Token]]:
-    tok = tokens[0] if tokens else None
+def _reject_empty(tokens: List[Token]) -> None:
     raise AsmSyntaxError("empty operand (stray comma)",
-                         tok.line if tok else 0, tok.column if tok else 0)
+                         tokens[0].line, tokens[0].column)
+
+
+def _rebase(group: List[Token]) -> List[Token]:
+    """*group* with columns counted from its first token (column 1): the
+    positions an operand's tokens have within the operand's own text,
+    which is what operand errors report."""
+    base = group[0].column - 1
+    if not base:
+        return group
+    return [Token(t.kind, t.text, t.line, t.column - base, t.value)
+            for t in group]
+
+
+def _expand(head: Token, groups: List[List[Token]],
+            line_text: str) -> List[Tuple[str, List[List[Token]]]]:
+    """Pseudo-instruction expansion over operand token groups.
+
+    A real instruction keeps its groups.  A pseudo-instruction is expanded
+    on the operands' source text by :func:`expand_pseudo`; each resulting
+    operand that is one of the original operands reuses that operand's
+    tokens, and only synthesized operands (``x0``, ``0``, ``%hi(...)``)
+    are tokenized."""
+    mnemonic = head.value
+    if mnemonic not in PSEUDO_MNEMONICS and not (
+            mnemonic in ("jal", "jalr") and len(groups) == 1):
+        return [(mnemonic, [_rebase(g) for g in groups])]
+    texts = [_group_text(line_text, g) for g in groups]
+    tokens_of = dict(zip(texts, map(_rebase, groups)))
+    return [(name, [tokens_of[text] if text in tokens_of
+                    else tokenize_line(text, head.line) for text in ops])
+            for name, ops in expand_pseudo(mnemonic, texts, head.line,
+                                           head.column)]
 
 
 def _group_text(line_text: str, group: List[Token]) -> str:
@@ -433,7 +484,31 @@ def _group_text(line_text: str, group: List[Token]) -> str:
     return line_text[start:end]
 
 
+#: canonical name of every register spelling that needs no case folding
+_INT_REGS = {**{name: name for name in (f"x{i}" for i in range(32))},
+             **INT_REG_ALIASES}
+_FP_REGS = {**{name: name for name in (f"f{i}" for i in range(32))},
+            **FP_REG_ALIASES}
+
+
+def _value_operand(group: List[Token], labels: Dict[str, int]) -> int:
+    """Integer value of an operand expression; a lone integer or known
+    label skips the expression parser."""
+    if len(group) == 1:
+        tok = group[0]
+        if tok.kind is TokenKind.INTEGER:
+            return tok.value
+        if tok.text in labels:
+            return labels[tok.text]
+    return int(evaluate_operand(group, labels))
+
+
 def _register_operand(group: List[Token], arg) -> str:
+    if len(group) == 1:     # only a symbol token can spell a register
+        reg = (_FP_REGS if arg.type is ArgType.FLOAT
+               else _INT_REGS).get(group[0].text)
+        if reg is not None:
+            return reg
     if len(group) != 1 or group[0].kind is not TokenKind.SYMBOL:
         tok = group[0]
         raise AsmSyntaxError(
