@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class Temp:
-    """A virtual register."""
+class Temp(NamedTuple):
+    """A virtual register.
+
+    A named tuple, so hashing and equality run in C: the optimizer and the
+    register allocator hash temporaries constantly (a Python-level
+    ``__hash__`` cost about an eighth of ``compile_c``).  The hash is that
+    of ``(index, is_float)``; keep it so, since set and dict iteration
+    order over temporaries shapes the generated code."""
 
     index: int
     is_float: bool = False
