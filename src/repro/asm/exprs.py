@@ -149,9 +149,3 @@ def try_literal(tokens: List[Token]) -> Optional[Number]:
         return None
     except AsmSyntaxError:
         return None
-
-
-def references_symbol(tokens: List[Token]) -> bool:
-    """True when the operand expression mentions any symbol."""
-    return any(t.kind in (TokenKind.SYMBOL, TokenKind.DIRECTIVE)
-               for t in tokens)

@@ -34,9 +34,8 @@ class TokenKind(str, enum.Enum):
 
 
 class Token:
-    """One lexical unit with its 1-based source position (treat as
-    immutable; a plain slotted class because the assembler builds one per
-    token and a frozen dataclass costs four times as much to construct)."""
+    """One lexical unit at its 1-based position (immutable by convention:
+    slots, since a frozen dataclass is four times dearer to build)."""
 
     __slots__ = ("kind", "text", "line", "column", "value")
 
@@ -52,9 +51,8 @@ class Token:
         return f"{self.kind.value}({self.text!r})"
 
 
-# Order matters: longest / most specific first.  Leading whitespace is
-# folded into every match, so a token costs one match and a line with no
-# more tokens leaves only whitespace (or a bad character) behind.
+# Order matters: longest / most specific first.  Each match also takes
+# the whitespace before its token.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
@@ -156,45 +154,21 @@ def tokenize_line(text: str, line_no: int) -> List[Token]:
     return tokens
 
 
-#: what can hide a ``/*`` from the block-comment stripper: string and
-#: character literals (as the tokenizer reads them, never across a line)
-#: and line comments; plus the ``/*`` opener itself
-_BLOCK_SCAN_RE = re.compile(
-    r"""
-    "(\\.|[^"\\\n])*"
-  | '(\\.|[^'\\\n])'
-  | (\#|//)[^\n]*
-  | /\*
-    """,
-    re.VERBOSE,
-)
+#: a block comment (body in group 1), or a string or character literal or a
+#: line comment, inside which ``/*`` opens nothing
+_BLOCK_RE = re.compile(r"/\*(.*?)(?:\*/|\Z)"
+                       r'|"(?:\\[^\n]|[^"\\\n])*"'
+                       r"|'(?:\\[^\n]|[^'\\\n])'"
+                       r"|(?:#|//)[^\n]*", re.DOTALL)
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
 def strip_block_comments(source: str) -> str:
-    """Remove ``/* ... */`` comments, preserving line numbers.
-
-    A ``/*`` inside a string or character literal, or after a ``#`` / ``//``
-    line comment, opens nothing.  The delimiters are dropped and the
-    comment body is blanked; an unterminated comment runs to the end."""
+    """Remove ``/* ... */`` comments, preserving line numbers: the
+    delimiters are dropped, the body is blanked, and an unterminated
+    comment runs to the end.  A ``/*`` inside a string or character
+    literal, or after a ``#`` / ``//`` line comment, opens nothing."""
     if "/*" not in source:
         return source
-    out = []
-    pos = 0
-    while True:
-        match = _BLOCK_SCAN_RE.search(source, pos)
-        if match is None:
-            out.append(source[pos:])
-            break
-        if match.group(0) != "/*":
-            out.append(source[pos:match.end()])
-            pos = match.end()
-            continue
-        out.append(source[pos:match.start()])
-        end = source.find("*/", match.end())
-        body = source[match.end():] if end < 0 else source[match.end():end]
-        out.append(_NOT_NEWLINE_RE.sub(" ", body))
-        if end < 0:
-            break
-        pos = end + 2
-    return "".join(out)
+    return _BLOCK_RE.sub(lambda m: m.group(0) if m.group(1) is None
+                         else _NOT_NEWLINE_RE.sub(" ", m.group(1)), source)

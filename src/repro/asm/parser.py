@@ -21,9 +21,7 @@ from repro.asm.pseudo import PSEUDO_MNEMONICS, expand_pseudo
 from repro.errors import AsmSyntaxError
 from repro.isa.instruction import ArgType, InstructionDef
 from repro.isa.isa import InstructionSet, default_instruction_set
-from repro.isa.registers import (
-    FP_REG_ALIASES, INT_REG_ALIASES, canonical_fp_reg, canonical_int_reg,
-)
+from repro.isa.registers import canonical_fp_reg, canonical_int_reg
 
 _DATA_DIRECTIVES = {
     ".byte": 1, ".hword": 2, ".half": 2, ".2byte": 2,
@@ -96,39 +94,31 @@ class Assembler:
         current_c_line = 0
 
         # ---------------- pass 1 -------------------------------------
-        # An instruction line seen before (compilers repeat lines like
-        # "lw t0, 8(sp)" often) reuses its pass-1 result.  Only its line
-        # number differs, and only token-derived pass-2 errors would show
-        # the shared tokens' line, which the first occurrence raises first.
-        seen: Dict[str, Tuple[Token, list]] = {}
         lines = strip_block_comments(source).split("\n")
         for line_no, line_text in enumerate(lines, start=1):
-            hit = seen.get(line_text)
-            if hit is None:
-                tokens = tokenize_line(line_text, line_no)
-                pos = 0
-                while pos < len(tokens) and \
-                        tokens[pos].kind is TokenKind.LABEL_DEF:
-                    pending_labels.append((tokens[pos].value, tokens[pos]))
-                    pos += 1
-                if pos >= len(tokens):
-                    continue
-                head = tokens[pos]
-                rest = tokens[pos + 1:]
+            tokens = tokenize_line(line_text, line_no)
+            pos = 0
+            while pos < len(tokens) and tokens[pos].kind is TokenKind.LABEL_DEF:
+                pending_labels.append((tokens[pos].value, tokens[pos]))
+                pos += 1
+            if pos >= len(tokens):
+                continue
+            head = tokens[pos]
+            rest = tokens[pos + 1:]
 
-                if head.kind is TokenKind.DIRECTIVE:
-                    current_c_line = self._directive(
-                        head, rest, line_text,
-                        pending_labels, code_labels, data_labels,
-                        data_chunks, data_fixups, data_label_order, equs,
-                        current_c_line,
-                    )
-                    continue
+            if head.kind is TokenKind.DIRECTIVE:
+                current_c_line = self._directive(
+                    head, rest, line_text,
+                    pending_labels, code_labels, data_labels,
+                    data_chunks, data_fixups, data_label_order, equs,
+                    current_c_line,
+                )
+                continue
 
-                if head.kind is not TokenKind.SYMBOL:
-                    raise AsmSyntaxError(
-                        f"expected instruction or directive, found {head.text!r}",
-                        head.line, head.column)
+            if head.kind is not TokenKind.SYMBOL:
+                raise AsmSyntaxError(
+                    f"expected instruction or directive, found {head.text!r}",
+                    head.line, head.column)
 
             # instruction: bind pending labels to the next code address
             for name, tok in pending_labels:
@@ -138,25 +128,15 @@ class Assembler:
                 code_labels[name] = len(raw_instrs) * 4
             pending_labels.clear()
 
-            if hit is None:
-                expanded = []
-                for mnemonic, op_groups in _expand(
-                        head, _split_operands(rest), line_text):
-                    definition = self.iset.get(mnemonic)
-                    if definition is None:
-                        raise AsmSyntaxError(f"unknown instruction "
-                                             f"'{mnemonic}'",
-                                             head.line, head.column)
-                    expanded.append((definition, op_groups))
-                if pos == 0:
-                    seen[line_text] = (head, expanded)
-            else:
-                head, expanded = hit
-            text = line_text.strip()
-            for definition, op_groups in expanded:
+            groups = _split_operands(rest)
+            for mnemonic, op_groups in _expand(head, groups, line_text):
+                definition = self.iset.get(mnemonic)
+                if definition is None:
+                    raise AsmSyntaxError(
+                        f"unknown instruction '{mnemonic}'", head.line, head.column)
                 raw_instrs.append(_RawInstruction(
-                    definition, op_groups, line_no, head.column, text,
-                    current_c_line))
+                    definition, op_groups, head.line, head.column,
+                    line_text.strip(), current_c_line))
 
         for name, tok in pending_labels:  # trailing labels bind past the end
             code_labels[name] = len(raw_instrs) * 4
@@ -445,9 +425,8 @@ def _reject_empty(tokens: List[Token]) -> None:
 
 
 def _rebase(group: List[Token]) -> List[Token]:
-    """*group* with columns counted from its first token (column 1): the
-    positions an operand's tokens have within the operand's own text,
-    which is what operand errors report."""
+    """*group* with columns counted from its first token, as operand
+    errors report them."""
     base = group[0].column - 1
     if not base:
         return group
@@ -457,13 +436,9 @@ def _rebase(group: List[Token]) -> List[Token]:
 
 def _expand(head: Token, groups: List[List[Token]],
             line_text: str) -> List[Tuple[str, List[List[Token]]]]:
-    """Pseudo-instruction expansion over operand token groups.
-
-    A real instruction keeps its groups.  A pseudo-instruction is expanded
-    on the operands' source text by :func:`expand_pseudo`; each resulting
-    operand that is one of the original operands reuses that operand's
-    tokens, and only synthesized operands (``x0``, ``0``, ``%hi(...)``)
-    are tokenized."""
+    """Pseudo-instruction expansion over operand token groups: operands
+    that :func:`expand_pseudo` passes through keep their tokens; only the
+    ones it synthesizes (``x0``, ``0``, ``%hi(...)``) are tokenized."""
     mnemonic = head.value
     if mnemonic not in PSEUDO_MNEMONICS and not (
             mnemonic in ("jal", "jalr") and len(groups) == 1):
@@ -484,13 +459,6 @@ def _group_text(line_text: str, group: List[Token]) -> str:
     return line_text[start:end]
 
 
-#: canonical name of every register spelling that needs no case folding
-_INT_REGS = {**{name: name for name in (f"x{i}" for i in range(32))},
-             **INT_REG_ALIASES}
-_FP_REGS = {**{name: name for name in (f"f{i}" for i in range(32))},
-            **FP_REG_ALIASES}
-
-
 def _value_operand(group: List[Token], labels: Dict[str, int]) -> int:
     """Integer value of an operand expression; a lone integer or known
     label skips the expression parser."""
@@ -504,11 +472,6 @@ def _value_operand(group: List[Token], labels: Dict[str, int]) -> int:
 
 
 def _register_operand(group: List[Token], arg) -> str:
-    if len(group) == 1:     # only a symbol token can spell a register
-        reg = (_FP_REGS if arg.type is ArgType.FLOAT
-               else _INT_REGS).get(group[0].text)
-        if reg is not None:
-            return reg
     if len(group) != 1 or group[0].kind is not TokenKind.SYMBOL:
         tok = group[0]
         raise AsmSyntaxError(

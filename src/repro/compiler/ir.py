@@ -15,13 +15,9 @@ from typing import Dict, List, NamedTuple, Optional, Union
 
 
 class Temp(NamedTuple):
-    """A virtual register.
-
-    A named tuple, so hashing and equality run in C: the optimizer and the
-    register allocator hash temporaries constantly (a Python-level
-    ``__hash__`` cost about an eighth of ``compile_c``).  The hash is that
-    of ``(index, is_float)``; keep it so, since set and dict iteration
-    order over temporaries shapes the generated code."""
+    """A virtual register: a named tuple, so hashing runs in C (a Python
+    ``__hash__`` cost an eighth of ``compile_c``).  Keep the hash that of
+    ``(index, is_float)``: set order over temporaries shapes the code."""
 
     index: int
     is_float: bool = False

@@ -29,6 +29,8 @@ SRC_VAL = 0   # immediate or hardwired x0: payload is the captured value
 SRC_INT = 1   # renamable integer register: payload is its name
 SRC_FP = 2    # renamable FP register: payload is its name
 
+_REGISTER_TYPES = (ArgType.INT, ArgType.FLOAT)
+
 _PACK_F32 = struct.Struct("<f").pack
 _PACK_F64 = struct.Struct("<d").pack
 
@@ -72,7 +74,7 @@ class DecodedOp:
         self.instruction = instruction
         self.definition = d
         self.index = instruction.index
-        self.pc = instruction.pc
+        self.pc = instruction.index * 4
 
         self.mnemonic = d.name
         self.type_key = d.instruction_type.value
@@ -82,11 +84,36 @@ class DecodedOp:
         self.fu_kind = d.fu_class.value
         self.op_class = d.op_class
 
-        self.is_load = d.is_load
+        operands = instruction.operands
+        dest = None
+        sources: List[Tuple[str, int, object, int]] = []
+        reg_sources = []
+        imm_values = {}
+        for arg in d.arguments:
+            name = arg.name
+            operand = operands[name]
+            if arg.type in _REGISTER_TYPES:
+                if arg.write_back:
+                    if dest is None:
+                        dest = arg
+                    continue
+                if operand != "x0":
+                    source = (name, SRC_FP if operand[0] == "f" else SRC_INT,
+                              operand, int(operand[1:]))
+                    sources.append(source)
+                    reg_sources.append(source)
+                    continue
+                operand = 0
+            sources.append((name, SRC_VAL, operand, 0))
+            imm_values[name] = operand
+        self.sources = tuple(sources)
+        self.imm_values = imm_values
+        self.reg_sources = tuple(reg_sources)
+
         self.is_store = d.is_store
         self.memory_size = d.memory_size
+        self.is_load = self.memory_size > 0 and not self.is_store
         self.memory_signed = d.memory_signed
-        dest = d.destination
         self.load_is_float = (self.is_load and dest is not None
                               and dest.type is ArgType.FLOAT)
         self.store_value_name = d.arguments[0].name if d.is_store else None
@@ -100,32 +127,13 @@ class DecodedOp:
         self.target_expr = Expression.compile(d.target) if d.target else None
         self.static_target = self._static_target(instruction)
 
-        sources: List[Tuple[str, int, object, int]] = []
-        for arg in d.arguments:
-            operand = instruction.operands[arg.name]
-            if arg.is_register:
-                if arg.write_back:
-                    continue
-                if operand == "x0":
-                    sources.append((arg.name, SRC_VAL, 0, 0))
-                else:
-                    kind = SRC_FP if operand[0] == "f" else SRC_INT
-                    sources.append((arg.name, kind, operand, int(operand[1:])))
-            else:
-                sources.append((arg.name, SRC_VAL, operand, 0))
-        self.sources = tuple(sources)
-        self.imm_values = {name: payload for name, kind, payload, _ in sources
-                           if kind == SRC_VAL}
-        self.reg_sources = tuple(s for s in sources if s[1] != SRC_VAL)
-
         self.has_dest = dest is not None
         self.dest_name = dest.name if dest is not None else None
         self.compute = None
         if self.expr is not None and not self.is_branch:
             self.compute = self.expr.result_fn(
                 self.dest_name if self.fu_kind in ("FX", "FP") else None)
-        self.dest_arch = instruction.operands[dest.name] \
-            if dest is not None else None
+        self.dest_arch = operands[dest.name] if dest is not None else None
         self.needs_tag = self.has_dest and self.dest_arch != "x0"
 
     # ------------------------------------------------------------------
@@ -141,7 +149,7 @@ class DecodedOp:
         d = self.definition
         immediates = {}
         for arg in d.arguments:
-            if not arg.is_register:
+            if arg.type not in _REGISTER_TYPES:
                 immediates[arg.name] = instruction.operands[arg.name]
         for name in self.target_expr.references():
             if name not in immediates:

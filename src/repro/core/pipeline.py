@@ -444,6 +444,8 @@ class Cpu:
         self.v_storeb += 1
 
     def _evaluate(self, simcode: SimCode) -> None:
+        """Result, address or branch outcome of an issuing instruction
+        (the step loop inlines the FX/FP/LS cases via ``dop.compute``)."""
         dop = simcode.dop
         values = simcode.op_values
         expr = dop.expr

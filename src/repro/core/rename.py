@@ -84,9 +84,6 @@ class RenameFile:
     def is_valid(self, tag: int) -> bool:
         return self.entries[tag].valid
 
-    def value_of(self, tag: int) -> Number:
-        return self.entries[tag].value
-
     # ------------------------------------------------------------------
     def read_source(self, arch_reg: str):
         """Resolve a source operand at rename time.

@@ -101,9 +101,6 @@ class SimCode:
     def mnemonic(self) -> str:
         return self.instruction.mnemonic
 
-    def stamp(self, phase: Phase, cycle: int) -> None:
-        self.timestamps[phase.value] = cycle
-
     def stamped(self, phase: Phase) -> Optional[int]:
         return self.timestamps.get(phase.value)
 
@@ -131,13 +128,6 @@ class SimCode:
     def operands_ready(self) -> bool:
         """All source operands have captured values."""
         return not self.waiting
-
-    def operand_value(self, name: str):
-        kind, value = self.operands[name]
-        if kind != "val":
-            raise RuntimeError(
-                f"operand '{name}' of {self.mnemonic} #{self.id} not ready")
-        return value
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:

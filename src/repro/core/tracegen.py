@@ -7,9 +7,10 @@ loop body, with the configuration constants (widths, buffer sizes, unit
 latencies, pipelined units, cycle limit) folded into literals and the
 per-unit code unrolled.  This *is* the timing model — ``Cpu.step`` runs
 one cycle of it and ``Cpu.run`` runs it to a budget; there is no second
-copy to keep in step.  Rare control transfers (mispredict flush, store
-drain, load resolution, decode redirect, result evaluation) call the
-single definitions in ``repro.core.pipeline.Cpu``.  The frozen per-cycle
+copy to keep in step.  Register renaming and the FX/FP/LS result
+computation are inlined too; rare control transfers (mispredict flush,
+store drain, load resolution, decode redirect, branch evaluation) call
+the single definitions in ``repro.core.pipeline.Cpu``.  The frozen per-cycle
 reference (``tests/core/test_pipeline_reference.py``) and the golden
 determinism suite pin the schedule.
 
@@ -478,27 +479,35 @@ def _start_lines(pipelined: Optional[bool], indent: str) -> List[str]:
 
 
 def _eval_lines(kind: str, indent: str) -> List[str]:
-    """Compute the result of ``sc`` as it issues.  FX and FP ops run their
-    fused ``dop.compute`` here (``Cpu._evaluate``'s FX/FP path, inlined);
-    other ops, and ops without one, call ``evaluate``."""
+    """``Cpu._evaluate`` for ``sc`` as it issues, inlined through the fused
+    ``dop.compute`` for FX/FP/LS ops; branches call ``evaluate``."""
     call = ["try:",
             "    evaluate(sc)",
             "except SimulationException as exc:",
             "    sc.exception = exc"]
     if kind in ("FX", "FP"):
-        call = ["fn = dop.compute",
-                "if fn is None:",
-                *["    " + line for line in call],
-                "else:",
-                "    try:",
-                "        res, fault = fn(sc.op_values, dop.pc)",
-                "    except SimulationException as exc:",
-                "        sc.exception = exc",
-                "    else:",
-                "        sc.result = res",
-                "        if fault is not None:",
-                "            sc.exception = fault"]
-    return [indent + line for line in call]
+        done = ["sc.result = res"]
+    elif kind == "LS":
+        done = ["sc.address = (int(res) & 0xFFFFFFFF if res is not None",
+                "              else 0)",
+                "if dop.is_store:",
+                "    sc.store_data = dop.store_encode(",
+                "        sc.op_values[dop.store_value_name])"]
+    else:
+        return [indent + line for line in call]
+    lines = ["fn = dop.compute",
+             "if fn is None:",
+             *["    " + line for line in call],
+             "else:",
+             "    try:",
+             "        res, fault = fn(sc.op_values, dop.pc)",
+             "    except SimulationException as exc:",
+             "        sc.exception = exc",
+             "    else:",
+             "        if fault is not None:",
+             "            sc.exception = fault",
+             *["        " + line for line in done]]
+    return [indent + line for line in lines]
 
 
 def _uniform_issue_kinds(cpu) -> Dict[str, List[int]]:

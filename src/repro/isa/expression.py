@@ -350,11 +350,9 @@ class Expression:
         self._results: Dict[Optional[str], Optional[Callable]] = {}
 
     def result_fn(self, dest: Optional[str]) -> Optional[Callable]:
-        """:meth:`eval_fast` narrowed to the value a unit writes back:
-        ``(values, pc) -> (value, exception)``, where *value* is the last
-        assignment to *dest* or, when there is none (or *dest* is
-        ``None``), the value left on the stack.  No assignment list is
-        built.  ``None`` for malformed shapes (use :meth:`eval_fast`)."""
+        """:meth:`eval_fast` narrowed to ``(values, pc) -> (value,
+        exception)``: *value* is the last assignment to *dest*, else the
+        stack result; ``None`` for malformed shapes."""
         if dest not in self._results:
             self._results[dest] = self._codegen_fast(
                 self.source, self._tokens, dest)
@@ -485,10 +483,8 @@ class Expression:
           remainder) is present, else operators receive ``None``;
         * the assignment list is allocated only when ``=`` occurs.
 
-        A missing argument raises the interpreter's :class:`ExpressionError`
-        from one ``KeyError`` handler around the body, not from a call per
-        read.  With a *dest* (see :meth:`result_fn`) the function returns
-        ``(value, exception)`` and keeps no assignment list.
+        A missing argument raises :class:`ExpressionError` from one
+        ``KeyError`` handler.  With a *dest* see :meth:`result_fn`.
 
         Returns ``None`` for malformed shapes; those keep falling back to
         the interpreter, which raises the matching :class:`ExpressionError`.

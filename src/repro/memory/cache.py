@@ -160,10 +160,6 @@ class Cache:
         self.version = 0
 
     # ------------------------------------------------------------------
-    def _split(self, address: int) -> Tuple[int, int]:
-        line_addr = address >> self._offset_bits
-        return line_addr & self._index_mask, line_addr >> (self._index_mask.bit_length())
-
     def _lookup(self, set_index: int, tag: int) -> Optional[int]:
         for way, line in enumerate(self._lines[set_index]):
             if line.valid and line.tag == tag:

@@ -8,7 +8,10 @@ input, to the error's type, message, line and column.  Inputs:
 
 * the golden C programs (quicksort, linked_list) compiled at O0-O3; the
   compiled assembly's own digest is pinned too, so compiler drift shows
-  up apart from assembler drift;
+  up apart from assembler drift.  The compiler numbers its labels from a
+  process-wide counter, so its output depends on what the process
+  compiled before; the eight programs are therefore compiled once, in
+  case order, from a fresh counter (see :func:`_compiled`);
 * the assembly listings of the examples and of the pipeline reference;
 * a set of malformed listings, one per diagnostic the editor shows.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -139,6 +143,29 @@ def _asm_cases():
 
 CASES = {**_c_cases(), **_asm_cases()}
 
+_ASSEMBLY: dict = {}
+
+
+def _compiled(case: str) -> str:
+    """Compiled assembly of a C case.  All C cases are compiled together,
+    in sorted order, with the compiler's label counter restarted at 1 (as
+    in a fresh process), so a case's labels never depend on which tests
+    ran before it."""
+    if not _ASSEMBLY:
+        from repro.compiler import ir
+        saved = ir._label_counter
+        ir._label_counter = itertools.count(1)
+        try:
+            for name in sorted(CASES):
+                spec = CASES[name]
+                if "c" in spec:
+                    compiled = compile_c(spec["c"], spec["level"])
+                    assert compiled.success, compiled.errors
+                    _ASSEMBLY[name] = compiled.assembly
+        finally:
+            ir._label_counter = saved
+    return _ASSEMBLY[case]
+
 
 def _sha(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, default=repr)
@@ -168,9 +195,7 @@ def record(case: str) -> dict:
     out: dict = {}
     source = spec.get("asm")
     if source is None:
-        compiled = compile_c(spec["c"], spec["level"])
-        assert compiled.success, compiled.errors
-        source = compiled.assembly
+        source = _compiled(case)
         out["assemblySha"] = hashlib.sha256(source.encode()).hexdigest()[:16]
     try:
         program = Assembler().assemble(

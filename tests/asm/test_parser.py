@@ -300,33 +300,3 @@ out:
         assert mix["kLoadstore"] == 1
         assert mix["kJumpbranch"] == 1
         assert mix["kFloatArithmetic"] == 1
-
-
-class TestRepeatedLines:
-    """Identical instruction lines share their pass-1 result."""
-
-    def test_each_copy_keeps_its_own_line(self):
-        program = assemble("li a0, 1\naddi a0, a0, 1\nloop: addi a0, a0, 1\n"
-                           "addi a0, a0, 1\nli a0, 70000\nli a0, 70000\n")
-        assert [i.source_line for i in program.instructions] == \
-            [1, 2, 3, 4, 5, 5, 6, 6]
-        assert program.labels["loop"] == 8
-        assert program.instructions[3].operands == \
-            program.instructions[1].operands
-        assert program.instructions[3].operands is not \
-            program.instructions[1].operands
-
-    def test_error_in_a_repeated_line_names_the_first_copy(self):
-        with pytest.raises(AsmSyntaxError) as err:
-            assemble("nop\n    j nowhere\nnop\n    j nowhere\n")
-        assert (err.value.line, err.value.column) == (2, 1)
-
-    def test_range_error_in_a_repeated_line_names_its_own_line(self):
-        # the first copy branches forward in range, the second (line 1113)
-        # back out of range
-        source = ("beq a0, a1, far\n" + "nop\n" * 10 + "far: ebreak\n"
-                  + "nop\n" * 1100 + "beq a0, a1, far\n")
-        with pytest.raises(AsmSyntaxError) as err:
-            assemble(source)
-        assert "out of range" in err.value.message
-        assert err.value.line == 1113
