@@ -24,10 +24,9 @@ from typing import Callable, List, Optional, Tuple
 from repro.isa.expression import EvalContext, Expression
 from repro.isa.instruction import ArgType, InstructionDef
 
-#: operand-plumbing kinds (``DecodedOp.sources`` entries)
-SRC_VAL = 0   # immediate or hardwired x0: payload is the captured value
-SRC_INT = 1   # renamable integer register: payload is its name
-SRC_FP = 2    # renamable FP register: payload is its name
+#: register-source kinds (``DecodedOp.sources`` entries)
+SRC_INT = 1   # integer register
+SRC_FP = 2    # floating-point register
 
 _REGISTER_TYPES = (ArgType.INT, ArgType.FLOAT)
 
@@ -62,14 +61,15 @@ class DecodedOp:
         # semantics; compute = the fused FX/FP write-back value (or the LS
         # address) as (values, pc) -> (value, exception), None for branches
         "expr", "compute",
-        # operand plumbing: ((arg_name, kind, payload, register index), ...)
-        # in argument order, split into immediates and register reads
-        "sources", "imm_values", "reg_sources",
+        # operand plumbing: renamable register sources as ((arg_name, kind,
+        # register name, register index), ...) and {arg_name: value} of
+        # immediates and hardwired x0; both shared within a program
+        "sources", "imm_values",
         # destination plumbing
         "dest_name", "dest_arch", "has_dest", "needs_tag",
     )
 
-    def __init__(self, instruction) -> None:
+    def __init__(self, instruction, shared: Optional[dict] = None) -> None:
         d: InstructionDef = instruction.definition
         self.instruction = instruction
         self.definition = d
@@ -86,8 +86,7 @@ class DecodedOp:
 
         operands = instruction.operands
         dest = None
-        sources: List[Tuple[str, int, object, int]] = []
-        reg_sources = []
+        sources: List[Tuple[str, int, str, int]] = []
         imm_values = {}
         for arg in d.arguments:
             name = arg.name
@@ -98,17 +97,17 @@ class DecodedOp:
                         dest = arg
                     continue
                 if operand != "x0":
-                    source = (name, SRC_FP if operand[0] == "f" else SRC_INT,
-                              operand, int(operand[1:]))
-                    sources.append(source)
-                    reg_sources.append(source)
+                    sources.append((name, SRC_FP if operand[0] == "f"
+                                    else SRC_INT, operand, int(operand[1:])))
                     continue
                 operand = 0
-            sources.append((name, SRC_VAL, operand, 0))
             imm_values[name] = operand
-        self.sources = tuple(sources)
-        self.imm_values = imm_values
-        self.reg_sources = tuple(reg_sources)
+        if shared is None:
+            shared = {}
+        self.sources = shared.setdefault(("sources", *sources),
+                                         tuple(sources))
+        self.imm_values = shared.setdefault(("imm", *imm_values.items()),
+                                            imm_values)
 
         self.is_store = d.is_store
         self.memory_size = d.memory_size
@@ -159,5 +158,8 @@ class DecodedOp:
 
 
 def decode_program(program) -> List[DecodedOp]:
-    """Decode every static instruction of *program* once."""
-    return [DecodedOp(instruction) for instruction in program.instructions]
+    """Decode every static instruction of *program* once (equal operand
+    plumbing is shared between its instructions)."""
+    shared: dict = {}
+    return [DecodedOp(instruction, shared)
+            for instruction in program.instructions]

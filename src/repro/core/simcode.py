@@ -112,7 +112,8 @@ class SimCode:
         values = self.op_values
         tags = self.src_tags or {}
         out: Dict[str, Tuple[str, object]] = {}
-        for name, _kind, _payload, _index in self.dop.sources:
+        for arg in self.definition.arguments:   # sources are never dests
+            name = arg.name
             if name in values:
                 out[name] = ("val", values[name])
             elif name in tags:

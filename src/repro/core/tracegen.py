@@ -699,7 +699,7 @@ def _emit_dispatch(config) -> List[str]:
         "            values = dop.imm_values.copy()",
         "            st = None",
         "            waiting = 0",
-        "            for name, skind, reg, index in dop.reg_sources:",
+        "            for name, skind, reg, index in dop.sources:",
         "                tag = rat.get(reg)",
         "                if tag is None:",
         "                    values[name] = (arch_int[index] if skind == 1",
